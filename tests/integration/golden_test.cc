@@ -3,7 +3,8 @@
  * Golden-value regression tests: exact expected output committed
  * under tests/integration/golden/ for the pure-analytic benches
  * (Table 1 shuffle model, the Figure 14 latency model, the Figure 15
- * load-test model) plus one small fixed-seed simulation run. Any
+ * load-test model) plus small fixed-seed simulation runs (a machine,
+ * both router backends, and a synthetic run on a degraded torus). Any
  * drift in these numbers is a deliberate model change and must be
  * re-blessed by regenerating the files:
  *
@@ -24,6 +25,10 @@
 #include "analytic/latency_model.hh"
 #include "analytic/loadtest_model.hh"
 #include "analytic/shuffle_model.hh"
+#include "fault/degraded.hh"
+#include "fault/injector.hh"
+#include "net/network.hh"
+#include "net/synthetic.hh"
 #include "sim/random.hh"
 #include "sim/table.hh"
 #include "system/machine.hh"
@@ -312,6 +317,80 @@ TEST(Golden, AblateRouterBackends)
     }
     t.print(os);
     checkGolden("ablate_router.txt", os.str());
+}
+
+// ---------------------------------------------------------------
+// Fault mode (gs1280bench fault_synth in miniature): an 8x8 torus
+// with row-0 East links 0-3 cut, uniform traffic below and past
+// saturation, plus one run where a router dies mid-measurement.
+// Pins the degraded-fabric routing tables (adaptive sets and the
+// up/down escape) and the buffered router's arbitration around the
+// holes, including the flush and unroutable-drop paths.
+// ---------------------------------------------------------------
+
+TEST(Golden, FaultDegradationSmall)
+{
+    Table t({"rate", "node down", "delivered flits", "vc_stalls",
+             "inj_stalls", "latency ns", "drops"});
+    struct Case
+    {
+        double rate;
+        NodeId deadNode;
+    };
+    for (Case c : {Case{0.04, invalidNode}, Case{0.08, invalidNode},
+                   Case{0.08, 27}}) {
+        SimContext ctx;
+        topo::Torus2D base(8, 8);
+        fault::DegradedTopology fabric(base);
+        net::Network network(ctx, fabric, net::NetworkParams::gs1280());
+        fault::FaultInjector inj(ctx, network, fabric);
+        telem::Registry reg;
+        network.registerTelemetry(reg, "net");
+        inj.registerTelemetry(reg, "fault");
+        for (NodeId n = 0; n < fabric.numNodes(); ++n)
+            network.router(n).registerTelemetry(
+                reg, telem::path(telem::path("node", n), "router"),
+                [](int p) { return "p" + std::to_string(p); });
+        for (int x = 0; x < 4; ++x)
+            inj.failLink(static_cast<NodeId>(x), topo::portEast);
+
+        net::SyntheticConfig cfg;
+        cfg.pattern = net::TrafficPattern::UniformRandom;
+        cfg.injectionRate = c.rate;
+        cfg.warmupCycles = 500;
+        cfg.measureCycles = 1500;
+        cfg.seed = 7;
+        if (c.deadNode != invalidNode) {
+            fault::FaultPlan plan;
+            plan.nodeDown(1000 * network.period(), c.deadNode);
+            inj.schedule(plan);
+        }
+        net::SyntheticResult res = net::runSynthetic(ctx, network, cfg);
+        ASSERT_EQ(network.inFlight(), 0);
+
+        double vcStalls = 0, injStalls = 0;
+        for (const std::string &path : reg.paths("node.")) {
+            if (path.size() < 7 ||
+                path.compare(path.size() - 7, 7, ".stalls") != 0)
+                continue;
+            (path.find(".router.inj.") != std::string::npos
+                 ? injStalls
+                 : vcStalls) += reg.value(path);
+        }
+        t.addRow({Table::num(c.rate, 2),
+                  c.deadNode == invalidNode ? "-"
+                                            : Table::num(c.deadNode),
+                  Table::num(static_cast<std::uint64_t>(
+                      reg.value("net.delivered_flits"))),
+                  Table::num(static_cast<std::uint64_t>(vcStalls)),
+                  Table::num(static_cast<std::uint64_t>(injStalls)),
+                  Table::num(res.avgLatencyNs, 3),
+                  Table::num(static_cast<std::uint64_t>(
+                      reg.value("fault.drops.total")))});
+    }
+    std::ostringstream os;
+    t.print(os);
+    checkGolden("fault_degradation_small.txt", os.str());
 }
 
 // The golden file pins the output against history; this pins it
