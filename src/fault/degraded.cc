@@ -1,6 +1,7 @@
 #include "fault/degraded.hh"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 
 #include "sim/logging.hh"
@@ -13,9 +14,13 @@ DegradedTopology::DegradedTopology(const topo::Topology &base)
 {
     const int n = base.numNodes();
     cut.resize(static_cast<std::size_t>(n));
-    for (NodeId node = 0; node < n; ++node)
+    for (NodeId node = 0; node < n; ++node) {
+        gs_assert(base.numPorts(node) <= maskPorts, "node ", node,
+                  " has ", base.numPorts(node),
+                  " ports; the adaptive port mask holds ", maskPorts);
         cut[static_cast<std::size_t>(node)].assign(
             static_cast<std::size_t>(base.numPorts(node)), 0);
+    }
     dead.assign(static_cast<std::size_t>(n), 0);
 }
 
@@ -60,25 +65,14 @@ DegradedTopology::adaptivePorts(NodeId at, NodeId dst,
 {
     if (!degraded())
         return base_.adaptivePorts(at, dst, hopsTaken);
-    if (at == dst || dead[static_cast<std::size_t>(at)] ||
-        dead[static_cast<std::size_t>(dst)])
-        return {};
-
-    // Minimality must be re-derived on the surviving graph: a hop is
-    // adaptive only if it strictly closes on the destination. The
-    // base topology's minimal set would happily point through (or
-    // around) the hole and ping-pong against the escape route.
-    const auto n = static_cast<std::size_t>(numNodes());
-    const int *toDst = &dist[static_cast<std::size_t>(dst) * n];
-    if (toDst[at] < 0)
-        return {}; // unreachable; the escape lookup reports it too
+    // Dead endpoints, at == dst and unreachable pairs all hold an
+    // empty mask (the escape lookup reports unreachability).
     topo::PortSet ports;
-    for (int p = 0; p < numPorts(at); ++p) {
-        topo::Port link = base_.port(at, p);
-        if (alive(at, p, link) &&
-            toDst[link.peer] == toDst[at] - 1)
-            ports.push_back(p);
-    }
+    for (unsigned m = adapt[static_cast<std::size_t>(dst) *
+                                static_cast<std::size_t>(numNodes()) +
+                            static_cast<std::size_t>(at)];
+         m != 0; m &= m - 1)
+        ports.push_back(std::countr_zero(m));
     return ports;
 }
 
@@ -180,7 +174,7 @@ DegradedTopology::rebuild()
         parentPort.clear();
         comp.clear();
         esc.clear();
-        dist.clear();
+        adapt.clear();
         return;
     }
 
@@ -216,24 +210,40 @@ DegradedTopology::rebuild()
         }
     }
 
-    // All-pairs shortest hops on the surviving graph, -1 when
-    // unreachable; adaptivePorts() keys minimality off this.
-    dist.assign(n * n, -1);
+    // Minimal adaptive ports, from one BFS per destination over the
+    // surviving graph. A hop is adaptive only if it strictly closes
+    // on the destination: the base topology's minimal set would
+    // happily point through (or around) the hole and ping-pong
+    // against the escape route. An edge at -> peer that reaches peer
+    // one hop further out than at is, reversed, such a hop from peer,
+    // so peer's port back along it (link.peerPort) joins peer's mask.
+    // BFS settles every node of distance d + 1 while expanding the
+    // nodes of distance d, so each qualifying edge is seen once.
+    adapt.assign(n * n, 0);
+    std::vector<int> hops(n);
     for (NodeId dst = 0; dst < numNodes(); ++dst) {
         if (dead[static_cast<std::size_t>(dst)])
             continue;
-        int *row = &dist[static_cast<std::size_t>(dst) * n];
-        row[dst] = 0;
+        std::fill(hops.begin(), hops.end(), -1);
+        PortMask *mask = &adapt[static_cast<std::size_t>(dst) * n];
+        hops[static_cast<std::size_t>(dst)] = 0;
         queue.push_back(dst);
         while (!queue.empty()) {
             NodeId at = queue.front();
             queue.pop_front();
+            const int next = hops[static_cast<std::size_t>(at)] + 1;
             for (int p = 0; p < numPorts(at); ++p) {
                 topo::Port link = base_.port(at, p);
-                if (!alive(at, p, link) || row[link.peer] >= 0)
+                if (!alive(at, p, link))
                     continue;
-                row[link.peer] = row[at] + 1;
-                queue.push_back(link.peer);
+                auto peer = static_cast<std::size_t>(link.peer);
+                if (hops[peer] < 0) {
+                    hops[peer] = next;
+                    queue.push_back(link.peer);
+                }
+                if (hops[peer] == next)
+                    mask[peer] |= static_cast<PortMask>(
+                        1u << link.peerPort);
             }
         }
     }

@@ -15,6 +15,11 @@
  *    destination. (Filtering the base topology's minimal set is not
  *    enough: a base-minimal hop can move *away* from the target in
  *    the degraded graph and livelock against the escape route.)
+ *    Every fault event precomputes the answer for all (at, dst)
+ *    pairs into a table of port bitmasks, filled by the same
+ *    per-destination BFS that measures the distances, so a routing
+ *    query is one table load; the distances themselves are not
+ *    kept.
  *  - escapeRoute() falls back from the base topology's scheme
  *    (dimension-order with a dateline on tori) to up/down routing
  *    on a BFS-derived spanning forest of the surviving graph: up
@@ -30,6 +35,8 @@
 #ifndef GS_FAULT_DEGRADED_HH
 #define GS_FAULT_DEGRADED_HH
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/checkpoint.hh"
@@ -141,10 +148,16 @@ class DegradedTopology : public topo::Topology
     /// @}
 
   private:
+    /** Bit p set: port p is in the adaptive set. */
+    using PortMask = std::uint16_t;
+
+    /** Widest router the port mask describes. */
+    static constexpr int maskPorts = std::numeric_limits<PortMask>::digits;
+
     /** Both endpoints live and the link itself not cut? */
     bool alive(NodeId node, int port, const topo::Port &link) const;
 
-    /** Recompute the escape forest and next-hop table. */
+    /** Recompute the escape forest, next-hop and adaptive tables. */
     void rebuild();
 
     const topo::Topology &base_;
@@ -154,13 +167,13 @@ class DegradedTopology : public topo::Topology
     int nFailedLinks = 0;
     int nFailedNodes = 0;
 
-    /** @name Up/down escape state (valid while degraded()) */
+    /** @name Routing tables (valid while degraded()) */
     /// @{
     std::vector<NodeId> parent;   ///< BFS forest parent (invalidNode = root)
     std::vector<int> parentPort;  ///< port from node toward its parent
     std::vector<NodeId> comp;     ///< connected-component id per node
     std::vector<topo::EscapeHop> esc; ///< next hop, indexed [dst * N + at]
-    std::vector<int> dist; ///< surviving-graph hops, [dst * N + at]
+    std::vector<PortMask> adapt; ///< minimal ports, [dst * N + at]
     /// @}
 };
 

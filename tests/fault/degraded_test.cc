@@ -1,14 +1,17 @@
 /** @file DegradedTopology tests: verbatim delegation while healthy,
- *  link/node masking, surviving connectivity and the deadlock-free
- *  up/down escape on the degraded graph. */
+ *  link/node masking, surviving connectivity, the deadlock-free
+ *  up/down escape on the degraded graph, and the precomputed
+ *  adaptive table against a brute-force derivation. */
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <vector>
 
 #include "fault/degraded.hh"
 #include "topology/torus.hh"
+#include "topology/torus3d.hh"
 #include "topology/tree.hh"
 
 namespace
@@ -224,6 +227,161 @@ TEST(DegradedTopology, EscapeForestDeterministic)
                       b.escapeRoute(at, dst, 0).vc);
         }
     }
+}
+
+/**
+ * Check adaptivePorts() for every (at, dst) against a derivation from
+ * first principles. Healthy: the base topology's answer. Degraded:
+ * every live port of @p at whose peer is one hop closer to @p dst on
+ * the surviving graph, in port order, by BFS distances over the
+ * masked port() relation.
+ */
+void
+expectAdaptiveMatchesOracle(const DegradedTopology &deg)
+{
+    const topo::Topology &base = deg.base();
+    for (NodeId dst = 0; dst < deg.numNodes(); ++dst) {
+        const std::vector<int> toDst = deg.distancesFrom(dst);
+        for (NodeId at = 0; at < deg.numNodes(); ++at) {
+            topo::PortSet want;
+            if (!deg.degraded()) {
+                want = base.adaptivePorts(at, dst, 0);
+            } else if (at != dst &&
+                       toDst[static_cast<std::size_t>(at)] > 0) {
+                for (int p = 0; p < deg.numPorts(at); ++p) {
+                    topo::Port link = deg.port(at, p);
+                    if (link.connected() &&
+                        toDst[static_cast<std::size_t>(link.peer)] ==
+                            toDst[static_cast<std::size_t>(at)] - 1)
+                        want.push_back(p);
+                }
+            }
+            ASSERT_EQ(deg.adaptivePorts(at, dst, 0), want)
+                << deg.name() << ": at " << at << " dst " << dst;
+        }
+    }
+}
+
+/**
+ * Fail random links and routers of @p base in several rounds, checking
+ * the adaptive table after every mutation, then repair everything and
+ * check it delegates to the base again.
+ */
+void
+checkRandomFaults(const topo::Topology &base, std::uint32_t seed,
+                  int links, int nodes)
+{
+    DegradedTopology deg(base);
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int n) {
+        return static_cast<int>(rng() % static_cast<std::uint32_t>(n));
+    };
+    struct Cut
+    {
+        NodeId node;
+        int port;
+    };
+    for (int round = 0; round < 3; ++round) {
+        std::vector<Cut> cuts;
+        std::vector<NodeId> downed;
+        for (int i = 0; i < links; ++i) {
+            NodeId node = pick(base.numNodes());
+            int port = pick(base.numPorts(node));
+            if (!base.port(node, port).connected())
+                continue;
+            deg.failLink(node, port);
+            cuts.push_back({node, port});
+            expectAdaptiveMatchesOracle(deg);
+        }
+        for (int i = 0; i < nodes; ++i) {
+            NodeId node = pick(base.numNodes());
+            deg.failNode(node);
+            downed.push_back(node);
+            expectAdaptiveMatchesOracle(deg);
+        }
+        // Partial repair keeps the fabric degraded; the rest makes
+        // it healthy, where the table is dropped for delegation.
+        for (NodeId node : downed)
+            deg.repairNode(node);
+        expectAdaptiveMatchesOracle(deg);
+        for (Cut c : cuts)
+            deg.repairLink(c.node, c.port);
+        ASSERT_FALSE(deg.degraded());
+        expectAdaptiveMatchesOracle(deg);
+    }
+}
+
+TEST(DegradedTopology, AdaptiveTableMatchesOracleTorus2D)
+{
+    topo::Torus2D base(8, 8);
+    for (std::uint32_t seed : {1u, 2u, 3u})
+        checkRandomFaults(base, seed, 6, 2);
+}
+
+TEST(DegradedTopology, AdaptiveTableMatchesOracleSizeTwoRings)
+{
+    // 2x4: the X rings have two nodes, so E and W of a node are two
+    // distinct links to the same peer; cutting one keeps the other.
+    topo::Torus2D base(2, 4);
+    for (std::uint32_t seed : {1u, 2u, 3u, 4u})
+        checkRandomFaults(base, seed, 3, 1);
+
+    DegradedTopology deg(base);
+    deg.failLink(0, topo::portEast);
+    topo::PortSet ports = deg.adaptivePorts(0, 1, 0);
+    ASSERT_EQ(ports.size(), 1u);
+    EXPECT_EQ(ports[0], topo::portWest);
+    expectAdaptiveMatchesOracle(deg);
+}
+
+TEST(DegradedTopology, AdaptiveTableMatchesOracleTorus3D)
+{
+    topo::Torus3D base(4, 4, 2);
+    for (std::uint32_t seed : {1u, 2u})
+        checkRandomFaults(base, seed, 8, 2);
+}
+
+TEST(DegradedTopology, AdaptiveTableMatchesOracleTree)
+{
+    topo::QbbTree base(32, 4);
+    for (std::uint32_t seed : {1u, 2u})
+        checkRandomFaults(base, seed, 4, 1);
+}
+
+/** A router wider than the adaptive port mask. */
+class WideStar : public topo::Topology
+{
+  public:
+    int numNodes() const override { return 18; }
+    int numCpuNodes() const override { return 17; }
+    int numPorts(NodeId n) const override { return n == 17 ? 17 : 1; }
+    topo::Port
+    port(NodeId n, int p) const override
+    {
+        if (n == 17)
+            return topo::Port{static_cast<NodeId>(p), 0,
+                              topo::LinkKind::Internal};
+        return topo::Port{17, static_cast<int>(n),
+                          topo::LinkKind::Internal};
+    }
+    std::string name() const override { return "wide star"; }
+    topo::PortSet adaptivePorts(NodeId, NodeId, int) const override
+    {
+        return {};
+    }
+    topo::EscapeHop escapeRoute(NodeId at, NodeId dst,
+                                int) const override
+    {
+        if (at == dst)
+            return {};
+        return {at == 17 ? static_cast<int>(dst) : 0, 0};
+    }
+};
+
+TEST(DegradedTopologyDeathTest, RouterWiderThanPortMaskRejected)
+{
+    WideStar star;
+    EXPECT_DEATH(DegradedTopology deg(star), "adaptive port mask");
 }
 
 } // namespace
