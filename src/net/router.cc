@@ -1,6 +1,7 @@
 #include "net/router.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "net/network.hh"
 #include "sim/logging.hh"
@@ -20,6 +21,7 @@ Router::Router(Network &network, NodeId node)
     kind_ = prm.routerKind;
 
     vcQ.resize(static_cast<std::size_t>(nPorts) * numVcs);
+    occupied.assign(static_cast<std::size_t>(nPorts), 0);
 
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
@@ -62,6 +64,7 @@ Router::receive(int in_port, int vc, PacketHandle h)
     core->recvFlits[sidx(in_port, vc)] +=
         static_cast<std::uint64_t>(pkt.flits);
     vcQ[slot(in_port, vc)].push(h);
+    occupied[static_cast<std::size_t>(in_port)] |= vcBit(vc);
     buffered += 1;
     net.activate(id);
 }
@@ -288,6 +291,9 @@ Router::popHead(int in_port, int vc)
     gs_assert(!q.empty());
     PacketHandle h = q.front();
     q.pop();
+    if (q.empty())
+        occupied[static_cast<std::size_t>(in_port)] &=
+            static_cast<VcMask>(~vcBit(vc));
     int flits = net.poolOf(id).get(h).flits;
     core->flitsUsed[sidx(in_port, vc)] -= flits;
     buffered -= 1;
@@ -304,8 +310,13 @@ Router::ejectPass(Tick now)
 {
     (void)now;
     const PacketPool &pool = net.poolOf(id);
+    // Only occupied VCs, in ascending order. Iterating a snapshot of
+    // the mask is exact: popHead can clear only the bit of the VC
+    // being drained, and arrivals are events, never synchronous.
     for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
+        for (unsigned m = occupied[static_cast<std::size_t>(p)]; m != 0;
+             m &= m - 1) {
+            const int vc = std::countr_zero(m);
             auto &q = vcQ[slot(p, vc)];
             while (!q.empty() && pool.get(q.front()).dst == id) {
                 PacketHandle h = popHead(p, vc);
@@ -324,9 +335,22 @@ Router::nominate(Tick now)
     // Network input ports: one nominee each, round-robin over VCs.
     // Heads whose destination lost every route (degraded fabric) are
     // dropped on the spot: waiting cannot bring the route back.
+    //
+    // The occupancy mask rotated right by the RR pointer has bit k
+    // set iff VC (rr + k) % numVcs is non-empty, so walking its set
+    // bits upward visits exactly the non-empty VCs of the full
+    // round-robin scan, in the same order; the empty ones it skips
+    // had no effect there.
+    constexpr unsigned allVcs = (1u << numVcs) - 1;
     for (int p = 0; p < nPorts; ++p) {
-        for (int k = 0; k < numVcs; ++k) {
-            int vc = (core->rrVc[pidx(p)] + k) % numVcs;
+        const unsigned occ = occupied[static_cast<std::size_t>(p)];
+        if (occ == 0)
+            continue;
+        const int rr = core->rrVc[pidx(p)];
+        const unsigned rot =
+            ((occ >> rr) | (occ << (numVcs - rr))) & allVcs;
+        for (unsigned m = rot; m != 0; m &= m - 1) {
+            const int vc = (rr + std::countr_zero(m)) % numVcs;
             auto &q = vcQ[slot(p, vc)];
             Route route;
             bool nominated = false;
@@ -730,6 +754,14 @@ Router::restoreCkpt(ckpt::Deserializer &d)
     }
     for (HandleQueue &q : vcQ)
         q.restoreCkpt(d);
+    // The occupancy mask is derived from the queues, never saved.
+    for (int p = 0; p < nPorts; ++p) {
+        VcMask occ = 0;
+        for (int vc = 0; vc < numVcs; ++vc)
+            if (!vcQ[slot(p, vc)].empty())
+                occ |= vcBit(vc);
+        occupied[static_cast<std::size_t>(p)] = occ;
+    }
     for (int p = 0; p < nPorts; ++p) {
         for (int vc = 0; vc < numVcs; ++vc) {
             core->flitsUsed[sidx(p, vc)] = d.getI32();

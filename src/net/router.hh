@@ -74,7 +74,9 @@
 #define GS_NET_ROUTER_HH
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -243,6 +245,17 @@ class Router
         std::uint32_t sideIdx;
     };
 
+    /** One bit per VC of an input port: set while its queue is
+     *  non-empty. */
+    using VcMask = std::uint16_t;
+    static_assert(numVcs <= std::numeric_limits<VcMask>::digits);
+
+    static constexpr VcMask
+    vcBit(int vc)
+    {
+        return static_cast<VcMask>(1u << vc);
+    }
+
     /** Local queue index of (in_port, vc). */
     std::size_t
     slot(int in_port, int vc) const
@@ -331,6 +344,13 @@ class Router
     RouterKind kind_ = RouterKind::Buffered;
 
     std::vector<HandleQueue> vcQ; ///< buffered packets, slot()-indexed
+    /**
+     * Per input port, the VCs whose queue in vcQ is non-empty:
+     * receive() sets a bit, popHead() clears it on the last pop, so
+     * the eject and nominate passes visit only occupied queues.
+     * Derived state, recomputed on restore.
+     */
+    std::vector<VcMask> occupied;
     std::array<HandleQueue, numClasses> injQs;
     std::array<std::uint64_t, numClasses> injStalls{}; ///< telemetry
     int injRrClass = 0;

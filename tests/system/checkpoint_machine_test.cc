@@ -2,10 +2,11 @@
  * @file
  * Machine-level checkpoint/restore: the A/B determinism contract
  * (run N ticks, save, run M more == save + restore + run M, for the
- * serial and parallel engines alike), rejection of corrupt or
- * mismatched snapshots with actionable errors, and watchdog-driven
- * crash recovery (rollback to a snapshot, heal, complete; or exhaust
- * the retry budget and die loudly).
+ * serial and parallel engines alike, snapshots cut with packets in
+ * router VCs), rejection of corrupt or mismatched snapshots with
+ * actionable errors, and watchdog-driven crash recovery (rollback to
+ * a snapshot, heal, complete; or exhaust the retry budget and die
+ * loudly).
  */
 
 #include <gtest/gtest.h>
@@ -64,6 +65,20 @@ makeRig(int cpus, int threads, std::uint64_t seed, std::uint64_t reads,
     return r;
 }
 
+/** Flits held in router input VCs across the whole fabric. */
+int
+bufferedFlits(sys::Machine &m)
+{
+    net::Network &net = m.network();
+    const topo::Topology &topo = net.topology();
+    int flits = 0;
+    for (NodeId node = 0; node < topo.numNodes(); ++node)
+        for (int p = 0; p < topo.numPorts(node); ++p)
+            for (int vc = 0; vc < net::numVcs; ++vc)
+                flits += net.router(node).vcOccupancy(p, vc);
+    return flits;
+}
+
 std::string
 exportOf(const sys::Machine &m)
 {
@@ -71,6 +86,17 @@ exportOf(const sys::Machine &m)
     telem::exportJson(os, m.telemetry());
     return os.str();
 }
+
+/** Knobs of checkContract beyond the engine configuration. */
+struct ContractOpts
+{
+    TileShape tiles{0, 0};
+    /** Every mid-run snapshot must hold packets in router VCs, so
+     *  the restore exercises the rebuilt VC occupancy state. (The
+     *  last one lands at the end of the run, when the fabric has
+     *  drained.) */
+    bool requireBuffered = false;
+};
 
 /**
  * The contract, one engine configuration at a time: a run that
@@ -80,10 +106,10 @@ exportOf(const sys::Machine &m)
 void
 checkContract(int cpus, int saveThreads, int restoreThreads,
               std::uint64_t seed, std::uint64_t reads,
-              const std::string &tag, TileShape tiles = {0, 0})
+              const std::string &tag, ContractOpts o = {})
 {
     // Probe run: learn the workload's natural length.
-    Rig probe = makeRig(cpus, saveThreads, seed, reads, tiles);
+    Rig probe = makeRig(cpus, saveThreads, seed, reads, o.tiles);
     ASSERT_TRUE(probe.m->run(probe.sources));
     const Tick endTick = probe.m->ctx().now();
     ASSERT_GT(endTick, 0u);
@@ -93,7 +119,7 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
     // ckpt.* counters are part of the export, so the continued run
     // must checkpoint on the same schedule to converge).
     const std::string prefixA = tmpPrefix("ckpt_ab_a_" + tag);
-    Rig a = makeRig(cpus, saveThreads, seed, reads, tiles);
+    Rig a = makeRig(cpus, saveThreads, seed, reads, o.tiles);
     a.m->setCheckpointPolicy(every, prefixA);
     ASSERT_TRUE(a.m->run(a.sources));
     const std::string wantExport = exportOf(*a.m);
@@ -106,10 +132,14 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
             prefixA + "." + std::to_string(k) + ".gsckpt";
         const std::string prefixB =
             tmpPrefix("ckpt_ab_b_" + tag + "_" + std::to_string(k));
-        Rig b = makeRig(cpus, restoreThreads, seed, reads, tiles);
+        Rig b = makeRig(cpus, restoreThreads, seed, reads, o.tiles);
         b.m->setCheckpointPolicy(every, prefixB);
         std::string err;
         ASSERT_TRUE(b.m->restore(snap, b.sources, &err)) << err;
+        if (o.requireBuffered && k < snaps) {
+            EXPECT_GT(bufferedFlits(*b.m), 0)
+                << "snapshot caught no packet in a router VC";
+        }
         ASSERT_TRUE(b.m->run(b.sources));
         EXPECT_EQ(exportOf(*b.m), wantExport)
             << "restored run diverged from the uninterrupted one";
@@ -128,7 +158,8 @@ TEST(CheckpointMachine, ContractSerialAcrossSeeds)
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         checkContract(8, 1, 1, seed, 80,
-                      "serial_s" + std::to_string(seed));
+                      "serial_s" + std::to_string(seed),
+                      {.requireBuffered = true});
     }
 }
 
@@ -147,7 +178,7 @@ TEST(CheckpointMachine, ParallelSnapshotRestoresAtAnyThreadCount)
     // snapshot saved at --threads 2 continues at --threads 8 when
     // both runs pin the same decomposition (the auto shape tracks
     // --threads, so cross-thread-count restores must pin one).
-    checkContract(16, 2, 8, 5, 60, "par_threads", {2, 2});
+    checkContract(16, 2, 8, 5, 60, "par_threads", {.tiles = {2, 2}});
 }
 
 TEST(CheckpointMachine, TileShapeSnapshotContractAtEightThreads)
@@ -156,7 +187,7 @@ TEST(CheckpointMachine, TileShapeSnapshotContractAtEightThreads)
     // (auto would pick 2x4 for 8 threads on the 4x4 torus): every
     // mid-run snapshot must continue byte-identically, adaptive
     // lookahead state and all.
-    checkContract(16, 8, 8, 11, 60, "tile_4x2", {4, 2});
+    checkContract(16, 8, 8, 11, 60, "tile_4x2", {.tiles = {4, 2}});
 }
 
 TEST(CheckpointMachine, RestoreRejectsTileShapeMismatch)
