@@ -11,6 +11,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,7 +67,8 @@ withSweepArgs(std::map<std::string, std::string> known = {})
 inline int
 machineThreads(const Args &args)
 {
-    return static_cast<int>(args.getInt("threads", 1));
+    return static_cast<int>(
+        args.getInt("threads", 1, 1, std::numeric_limits<int>::max()));
 }
 
 /** Register the --router backend option (compose like the others). */
@@ -138,8 +140,9 @@ inline SweepRunner
 makeRunner(const Args &args)
 {
     return SweepRunner(
-        static_cast<int>(args.getInt("jobs", 0)),
-        static_cast<std::uint64_t>(args.getInt("seed", 1)));
+        static_cast<int>(
+            args.getInt("jobs", 0, 0, std::numeric_limits<int>::max())),
+        static_cast<std::uint64_t>(args.getInt("seed", 1, 0)));
 }
 
 /** A table row produced by one sweep point. */

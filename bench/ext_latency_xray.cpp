@@ -39,7 +39,7 @@ main(int argc, char **argv)
                 "Extension: latency x-ray, 16-CPU GS1280 (ns)");
 
     sys::Gs1280Options opt;
-    opt.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    opt.seed = static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
     opt.threads = bench::machineThreads(args);
     bench::applyTileShape(args, opt);
     // Unlike the shared-plumbing benches this one IS the x-ray, so

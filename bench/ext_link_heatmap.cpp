@@ -61,7 +61,7 @@ main(int argc, char **argv)
                    {"seed", "master seed (default 1)"}}));
     auto updates =
         static_cast<std::uint64_t>(args.getInt("updates", 2000));
-    auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
 
     printBanner(std::cout,
                 "Link heatmap: GUPS on the 32P GS1280 (8x4 torus), "

@@ -153,7 +153,7 @@ main(int argc, char **argv)
             gs_fatal("--gups-shape=", shape, ": expected XxYxZ");
 
         sys::Gs1280Options opt;
-        opt.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+        opt.seed = static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
         opt.threads = threads;
         bench::applyTileShape(args, opt);
         auto m = sys::Machine::buildGS1280_3D(x, y, z, opt);

@@ -125,7 +125,7 @@ main(int argc, char **argv)
         args.getBool("verbose", false) ||
         args.has("checkpoint-every") || args.has("restore-from")) {
         auto master =
-            static_cast<std::uint64_t>(args.getInt("seed", 1));
+            static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
         sys::Gs1280Options opt;
         opt.seed = master;
         opt.threads = threads;

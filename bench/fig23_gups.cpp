@@ -114,7 +114,7 @@ main(int argc, char **argv)
         args.has("checkpoint-every") || args.has("restore-from") ||
         args.has("trace-sample") || args.has("span-trace")) {
         auto master =
-            static_cast<std::uint64_t>(args.getInt("seed", 1));
+            static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
         sys::Gs1280Options opt;
         opt.mlp = 16;
         opt.seed = master;

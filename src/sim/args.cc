@@ -1,5 +1,7 @@
 #include "sim/args.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,6 +9,27 @@
 
 namespace gs
 {
+
+namespace
+{
+
+/** Die unless @p v lies in [@p lo, @p hi]; open ends stay unnamed. */
+template <typename T>
+void
+checkRange(const std::string &key, const std::string &text, T v, T lo,
+           T hi)
+{
+    if (v >= lo && v <= hi)
+        return;
+    if (hi == std::numeric_limits<T>::max())
+        gs_fatal("--", key, "=", text, ": expected a value >= ", lo);
+    if (lo == std::numeric_limits<T>::lowest())
+        gs_fatal("--", key, "=", text, ": expected a value <= ", hi);
+    gs_fatal("--", key, "=", text, ": expected a value in [", lo, ", ",
+             hi, "]");
+}
+
+} // namespace
 
 Args::Args(int argc, char **argv, std::map<std::string, std::string> known)
 {
@@ -48,19 +71,38 @@ Args::getString(const std::string &key, const std::string &def) const
 }
 
 std::int64_t
-Args::getInt(const std::string &key, std::int64_t def) const
+Args::getInt(const std::string &key, std::int64_t def, std::int64_t lo,
+             std::int64_t hi) const
 {
     auto it = values.find(key);
-    return it == values.end() ? def : std::strtoll(it->second.c_str(),
-                                                   nullptr, 0);
+    if (it == values.end())
+        return def;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        gs_fatal("--", key, "=", it->second, ": expected an integer");
+    checkRange<std::int64_t>(key, it->second, v, lo, hi);
+    return v;
 }
 
 double
-Args::getDouble(const std::string &key, double def) const
+Args::getDouble(const std::string &key, double def, double lo,
+                double hi) const
 {
     auto it = values.find(key);
-    return it == values.end() ? def : std::strtod(it->second.c_str(),
-                                                  nullptr);
+    if (it == values.end())
+        return def;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v))
+        gs_fatal("--", key, "=", it->second, ": expected a number");
+    checkRange(key, it->second, v, lo, hi);
+    return v;
 }
 
 bool

@@ -3,13 +3,15 @@
  * Minimal command-line option parsing for bench/example binaries.
  *
  * Supports `--key=value` and `--flag` forms plus `--help`. Unknown
- * options are fatal so that typos in sweep scripts fail loudly.
+ * options and malformed or out-of-range numbers are fatal so that
+ * typos in sweep scripts fail loudly.
  */
 
 #ifndef GS_SIM_ARGS_HH
 #define GS_SIM_ARGS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,8 +34,25 @@ class Args
 
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-    double getDouble(const std::string &key, double def) const;
+
+    /**
+     * The integer value of --key (decimal, 0x hex or 0 octal), or
+     * @p def when absent. A value that is not wholly a number, or a
+     * given value outside [@p lo, @p hi], is a fatal error naming
+     * the option.
+     */
+    std::int64_t
+    getInt(const std::string &key, std::int64_t def,
+           std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max())
+        const;
+
+    /** Floating-point counterpart of getInt(), same rules. */
+    double getDouble(const std::string &key, double def,
+                     double lo = std::numeric_limits<double>::lowest(),
+                     double hi = std::numeric_limits<double>::max())
+        const;
+
     bool getBool(const std::string &key, bool def) const;
 
   private:
