@@ -183,6 +183,21 @@ DegradedTopology::rebuild()
     parentPort.assign(n, -1);
     comp.assign(n, invalidNode);
 
+    // The surviving port relation, read from the base topology once:
+    // the searches below walk these flat lists instead of asking for
+    // every edge again on every search. A failed link is a
+    // disconnected Port; entry first[at] + p is port p of at.
+    std::vector<std::size_t> first(n + 1);
+    std::vector<topo::Port> links;
+    for (NodeId at = 0; at < numNodes(); ++at) {
+        first[static_cast<std::size_t>(at)] = links.size();
+        for (int p = 0; p < numPorts(at); ++p) {
+            topo::Port link = base_.port(at, p);
+            links.push_back(alive(at, p, link) ? link : topo::Port{});
+        }
+    }
+    first[n] = links.size();
+
     // BFS spanning forest of the surviving graph. Deterministic:
     // roots in increasing node order, neighbours in port order.
     std::deque<NodeId> queue;
@@ -193,17 +208,17 @@ DegradedTopology::rebuild()
         comp[static_cast<std::size_t>(root)] = root;
         queue.push_back(root);
         while (!queue.empty()) {
-            NodeId at = queue.front();
+            auto at = static_cast<std::size_t>(queue.front());
             queue.pop_front();
-            for (int p = 0; p < numPorts(at); ++p) {
-                topo::Port link = base_.port(at, p);
-                if (!alive(at, p, link))
+            for (std::size_t i = first[at]; i < first[at + 1]; ++i) {
+                const topo::Port &link = links[i];
+                if (!link.connected())
                     continue;
                 auto peer = static_cast<std::size_t>(link.peer);
                 if (comp[peer] != invalidNode)
                     continue;
                 comp[peer] = root;
-                parent[peer] = at;
+                parent[peer] = static_cast<NodeId>(at);
                 parentPort[peer] = link.peerPort;
                 queue.push_back(link.peer);
             }
@@ -229,12 +244,12 @@ DegradedTopology::rebuild()
         hops[static_cast<std::size_t>(dst)] = 0;
         queue.push_back(dst);
         while (!queue.empty()) {
-            NodeId at = queue.front();
+            auto at = static_cast<std::size_t>(queue.front());
             queue.pop_front();
-            const int next = hops[static_cast<std::size_t>(at)] + 1;
-            for (int p = 0; p < numPorts(at); ++p) {
-                topo::Port link = base_.port(at, p);
-                if (!alive(at, p, link))
+            const int next = hops[at] + 1;
+            for (std::size_t i = first[at]; i < first[at + 1]; ++i) {
+                const topo::Port &link = links[i];
+                if (!link.connected())
                     continue;
                 auto peer = static_cast<std::size_t>(link.peer);
                 if (hops[peer] < 0) {
@@ -260,11 +275,11 @@ DegradedTopology::rebuild()
         std::fill(downPort.begin(), downPort.end(), -1);
         for (NodeId cur = dst;
              parent[static_cast<std::size_t>(cur)] != invalidNode;) {
-            NodeId par = parent[static_cast<std::size_t>(cur)];
+            auto c = static_cast<std::size_t>(cur);
+            NodeId par = parent[c];
             // The parent's port toward cur reverses cur's parent port.
             downPort[static_cast<std::size_t>(par)] =
-                base_.port(cur,
-                           parentPort[static_cast<std::size_t>(cur)])
+                links[first[c] + static_cast<std::size_t>(parentPort[c])]
                     .peerPort;
             cur = par;
         }
