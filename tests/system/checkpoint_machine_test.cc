@@ -140,7 +140,11 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
             EXPECT_GT(bufferedFlits(*b.m), 0)
                 << "snapshot caught no packet in a router VC";
         }
-        ASSERT_TRUE(b.m->run(b.sources));
+        // Bounded: a continuation that strands packets must fail
+        // here, not spin to the default limit writing a snapshot
+        // every `every` ticks.
+        ASSERT_TRUE(b.m->run(b.sources, 2 * endTick))
+            << "restored run did not finish";
         EXPECT_EQ(exportOf(*b.m), wantExport)
             << "restored run diverged from the uninterrupted one";
         EXPECT_EQ(b.m->checkpointRestores(), 1u);
