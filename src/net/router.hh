@@ -68,6 +68,10 @@
  * structure-of-arrays (router_core.hh) — this object holds only its
  * base offsets into those flat arrays, its handle queues, and the
  * arbitration logic.
+ *
+ * Hot path: each input port keeps a bitmask of its non-empty VCs,
+ * and the eject and nominate passes walk only its set bits, in the
+ * order a full scan would have reached them (docs/ROUTER.md).
  */
 
 #ifndef GS_NET_ROUTER_HH
