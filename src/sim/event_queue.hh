@@ -481,6 +481,7 @@ class EventQueue
         }
 
         std::size_t size() const { return size_; }
+        std::size_t capacity() const { return cap_; }
         bool empty() const { return size_ == 0; }
         Entry &operator[](std::size_t i) { return data_[i]; }
         const Entry &operator[](std::size_t i) const { return data_[i]; }
@@ -520,6 +521,19 @@ class EventQueue
         /** Drop all elements, destructor-free. Precondition: every
          *  element is a vacated husk (no-op destructor). */
         void truncateHusks() { size_ = 0; }
+
+        /**
+         * Drop the first @p n elements, destructor-free, sliding the
+         * rest down in order. Precondition: those @p n are vacated
+         * husks; the slots left behind at the end become husks too.
+         */
+        void
+        dropHusks(std::size_t n)
+        {
+            for (std::size_t i = n; i < size_; ++i)
+                data_[i - n] = std::move(data_[i]);
+            size_ -= n;
+        }
 
         /** Grow capacity to at least @p n without adding elements. */
         void
@@ -623,6 +637,17 @@ class EventQueue
         }
         if (when < base + horizon) {
             Bucket &b = buckets[bucketIndex(when)];
+            if (&b == curb && b.head != 0 &&
+                b.entries.size() == b.entries.capacity()) {
+                // The bucket being drained is full, but its fired
+                // prefix is dead husks: reclaim those slots instead
+                // of growing. Events a firing callback schedules into
+                // its own bucket (a router woken at the current edge)
+                // would otherwise grow a warm bucket past the
+                // capacity its steady state needs.
+                b.entries.dropHusks(b.head);
+                b.head = 0;
+            }
             if (&b == curb && b.sorted &&
                 !(b.entries.empty() ||
                   b.entries.back().when < when ||

@@ -172,6 +172,39 @@ TEST(AllocCount, WarmBurstSchedulingAllocatesNothing)
     EXPECT_EQ(fired, warmFired + 64u * 100u);
 }
 
+TEST(AllocCount, SameTickReschedulesReuseFiredSlots)
+{
+    // A callback that schedules into the bucket it fires from (a
+    // router woken at the current clock edge) must take a slot its
+    // bucket has already fired rather than grow the bucket: every
+    // lap fills one prewarmed 8-slot bucket, and each of its events
+    // schedules a same-tick follow-up — 16 events through 8 slots.
+    // Without slot reuse the first lap of the ring allocates in
+    // every bucket.
+    EventQueue eq;
+    eq.prewarm(8);
+    std::uint64_t fired = 0;
+    auto lap = [&] {
+        for (int k = 0; k < 8; ++k)
+            eq.schedule(EventQueue::bucketWidth, [&eq, &fired] {
+                fired += 1;
+                eq.schedule(0, [&fired] { fired += 1; });
+            });
+        eq.runUntil();
+    };
+    const std::uint64_t delta = allocsDuring([&] {
+        for (std::size_t i = 0; i < 2 * EventQueue::bucketCount; ++i)
+            lap();
+    });
+
+#ifdef GS_SANITIZE
+    GTEST_SKIP() << "sanitizer build; counted " << delta;
+#else
+    EXPECT_EQ(delta, 0u);
+#endif
+    EXPECT_EQ(fired, 2u * EventQueue::bucketCount * 16u);
+}
+
 TEST(AllocCount, WarmPacketPoolAllocatesNothing)
 {
     gs::net::PacketPool pool;
