@@ -128,7 +128,7 @@ Network::fabricQuiet() const
     if (inFlight() != 0)
         return false;
     for (const auto &shp : shards) {
-        if (shp->ticking || shp->injHead < shp->injDues.size())
+        if (shp->ticking)
             return false;
     }
     // Cross entries posted late in a window sit unmerged in the
@@ -175,23 +175,6 @@ Network::mergeFor(int d, Tick window_start)
     // d's own posts go (every shard's epoch advances in lockstep, so
     // the arithmetic in postCross/pendingMinOf stays consistent).
     const std::size_t par = (sh.epoch + 1) & 1;
-
-    // Reduce every domain's published chain state to the serial
-    // question "does the one global tick chain tick at this window's
-    // edge?": yes if any domain's chain survived the previous edge,
-    // or any pending inject revives it at an off-edge instant before
-    // this window's edge. activate() consults the answer so that a
-    // wake-up in an idle domain lands on the same edge the serial
-    // engine's still-alive global chain would have used.
-    const std::size_t pubPar = sh.epoch & 1;
-    sh.windowEdge = Clock(tickPeriod).nextEdge(window_start);
-    bool alive = false;
-    for (int s = 0; s < nDomains && !alive; ++s) {
-        const Shard &o = *shards[std::size_t(s)];
-        alive = o.tickingPub[pubPar] ||
-                o.revivalPub[pubPar] <= sh.windowEdge;
-    }
-    sh.aliveAtEdge = alive;
     sh.epoch += 1;
 
     auto &scratch = sh.scratch;
@@ -263,23 +246,6 @@ Network::pendingMinOf(int d) const
         m = std::min(m, mail[mbox(d, t)].minDue[par]);
     }
     return m;
-}
-
-void
-Network::publishFor(int d)
-{
-    Shard &sh = *shards[std::size_t(d)];
-    // sh.epoch counts completed merges, so after draining window k it
-    // reads k + 1; the consumer of this snapshot is window k + 1's
-    // mergeFor, which indexes by its own entry epoch — the same
-    // value. The other parity still holds window k's snapshot for
-    // any straggler peer mid-merge.
-    const std::size_t p = sh.epoch & 1;
-    sh.tickingPub[p] = sh.ticking;
-    sh.revivalPub[p] =
-        sh.injHead < sh.injDues.size()
-            ? Clock(tickPeriod).nextEdge(sh.injDues[sh.injHead] + 1)
-            : maxTick;
 }
 
 std::uint64_t
@@ -415,32 +381,12 @@ Network::inject(Packet pkt)
 
     Tick delay = static_cast<Tick>(prm.injectionCycles) * tickPeriod;
     NodeId node = pkt.src;
-    if (nDomains > 1) {
-        // Record the pending router-inject due for publishFor's
-        // revival-edge view (injects are the only activation source
-        // not aligned to the router clock).
-        sh.injDues.push_back(c.now() + delay);
-    }
     c.queue().schedule(delay,
                        netDesc(ckpt::NetInjStart, node, 0, 0, 0, h),
                        [this, node, h] {
-                           consumeInj(node);
                            routers[static_cast<std::size_t>(node)]
                                ->inject(h);
                        });
-}
-
-void
-Network::consumeInj(NodeId node)
-{
-    if (nDomains == 1)
-        return;
-    Shard &sh = shard(node);
-    sh.injHead += 1;
-    if (sh.injHead == sh.injDues.size()) {
-        sh.injDues.clear();
-        sh.injHead = 0;
-    }
 }
 
 void
@@ -706,18 +652,8 @@ Network::activate(NodeId at)
         return;
     sh.ticking = true;
     SimContext &c = *domCtx[std::size_t(d)];
-    const Clock clk(tickPeriod);
-    Tick edge = clk.nextEdge(c.now() + 1);
-    if (nDomains > 1 && sh.aliveAtEdge &&
-        clk.nextEdge(c.now()) == sh.windowEdge) {
-        // The serial engine's global chain is still ticking at this
-        // window's edge (some other domain is busy, or an in-window
-        // inject revives it), so a wake-up exactly on the edge is
-        // processed at that edge — not one period later, the way a
-        // truly dead fabric restarts.
-        edge = sh.windowEdge;
-    }
-    c.queue().scheduleAt(edge, netDesc(ckpt::NetTick, d),
+    c.queue().scheduleAt(Clock(tickPeriod).nextEdge(c.now()),
+                         netDesc(ckpt::NetTick, d),
                          [this, d] { tickDomain(d); });
 }
 
@@ -758,17 +694,6 @@ Network::saveCkpt(ckpt::Serializer &s) const
         s.putI32(sh.flying);
         s.putBool(sh.ticking);
         s.put64(sh.epoch);
-        for (bool t : sh.tickingPub)
-            s.putBool(t);
-        for (Tick t : sh.revivalPub)
-            s.put64(t);
-        s.put64(sh.windowEdge);
-        s.putBool(sh.aliveAtEdge);
-        // Only the unconsumed inject dues matter after restore.
-        s.put32(static_cast<std::uint32_t>(sh.injDues.size() -
-                                           sh.injHead));
-        for (std::size_t i = sh.injHead; i < sh.injDues.size(); ++i)
-            s.put64(sh.injDues[i]);
         s.put64(sh.xArrivals);
         s.put64(sh.xCredits);
         s.put64(sh.xFlits);
@@ -828,17 +753,6 @@ Network::restoreCkpt(ckpt::Deserializer &d)
         sh.flying = d.getI32();
         sh.ticking = d.getBool();
         sh.epoch = d.get64();
-        for (bool &t : sh.tickingPub)
-            t = d.getBool();
-        for (Tick &t : sh.revivalPub)
-            t = d.get64();
-        sh.windowEdge = d.get64();
-        sh.aliveAtEdge = d.getBool();
-        std::uint32_t nInj = d.get32();
-        sh.injDues.clear();
-        sh.injHead = 0;
-        for (std::uint32_t i = 0; i < nInj && d.ok(); ++i)
-            sh.injDues.push_back(d.get64());
         sh.xArrivals = d.get64();
         sh.xCredits = d.get64();
         sh.xFlits = d.get64();
@@ -885,7 +799,6 @@ Network::rehydrateEvent(const ckpt::EventDesc &d)
         const NodeId node = d.owner;
         const auto h = static_cast<PacketHandle>(d.u);
         return [this, node, h] {
-            consumeInj(node);
             routers[static_cast<std::size_t>(node)]->inject(h);
         };
       }

@@ -133,8 +133,9 @@ class Network
 
     /**
      * Whether no cross-domain effect can arise without a fresh
-     * injection: nothing in flight, every tick chain dead, no
-     * injection queued, and no posted-but-unmerged mailbox entry
+     * injection: nothing in flight (injected packets count from
+     * inject(), before their router sees them), every tick chain
+     * dead, and no posted-but-unmerged mailbox entry
      * (cross credits posted late in a window sit there even after
      * the last packet delivers). A pure function of simulation
      * state. Pending *local* credits are allowed: with an idle
@@ -175,19 +176,6 @@ class Network
      * own writes, so it is safe from d's worker at any time.
      */
     Tick pendingMinOf(int d) const;
-
-    /**
-     * Publish domain @p d's tick-chain state for the next window's
-     * merges (ParallelEngine publish hook). Must run after domain d
-     * has drained the current window and before the epoch barrier;
-     * mergeFor then reduces all domains' published state to decide
-     * whether the serial engine's one global tick chain — alive
-     * while ANY router in the machine is busy — would tick at the
-     * coming window's clock edge. Without this, an arrival into an
-     * idle domain would wake its routers one cycle later than the
-     * serial schedule.
-     */
-    void publishFor(int d);
 
     /** @name Cross-domain mailbox traffic (par.* telemetry) */
     /// @{
@@ -304,7 +292,7 @@ class Network
     /** @name Checkpoint/restore
      *
      * Serializes the fabric wholesale: every shard (pool, stats,
-     * tick-chain state, inject dues, cross-traffic counters), both
+     * tick-chain flag, cross-traffic counters), both
      * parities of every mailbox, per-link flit counters, fault
      * flags and every router. Restore requires the same partition
      * layout the snapshot was taken with (domain count is checked).
@@ -329,6 +317,14 @@ class Network
         linkFlits[std::size_t(node)][std::size_t(port)] +=
             static_cast<std::uint64_t>(flits);
     }
+
+    /**
+     * Router @p at became busy now: make sure it is ticked at the
+     * first clock edge at or after now (docs/PARALLEL.md, "Router
+     * clocking"). A dead domain chain restarts at that edge; a live
+     * one already ticks there, and every wake for an edge is queued
+     * before the chain's tick for it, so the two cases agree.
+     */
     void activate(NodeId at);
     /// @}
 
@@ -384,31 +380,6 @@ class Network
          * mergeFor, i.e. only by the owning worker.
          */
         std::uint64_t epoch = 0;
-        /**
-         * Tick-chain state published at the end of each window for
-         * the next window's merges (see publishFor / mergeFor). The
-         * serial engine keeps one global tick chain alive while ANY
-         * router in the machine is busy, so an arrival into an idle
-         * region is still processed at its own edge; per-domain
-         * chains must consult this global view to match it. Double-
-         * buffered by consumer-epoch parity: a fast worker may
-         * republish for window k+1 while a slow peer still merges
-         * window k.
-         */
-        bool tickingPub[2] = {false, false};
-        Tick revivalPub[2] = {maxTick, maxTick};
-        /** The one tick-chain edge inside the current window. */
-        Tick windowEdge = 0;
-        /** Serial global chain would tick at windowEdge. */
-        bool aliveAtEdge = false;
-        /**
-         * Dues of pending router-inject events (FIFO; dues are
-         * non-decreasing because injects schedule now + const).
-         * Injects are the only off-edge activation source, so they
-         * alone can revive the serial chain mid-window.
-         */
-        std::vector<Tick> injDues;
-        std::size_t injHead = 0;
         std::uint64_t xArrivals = 0; ///< cross arrivals posted
         std::uint64_t xCredits = 0;  ///< cross credits posted
         std::uint64_t xFlits = 0;    ///< flits in cross arrivals
@@ -432,7 +403,6 @@ class Network
         return *shards[std::size_t(domainOf(node))];
     }
     void postCross(int src_dom, int dst_dom, const XEntry &e);
-    void consumeInj(NodeId node);
 
     void tickDomain(int d);
     void deliverNow(NodeId node, PacketHandle h);

@@ -294,8 +294,6 @@ ParallelEngine::processDomain(int d, Tick ws, Tick we)
     if (merge)
         merge(d, ws);
     q.drainWindow(we);
-    if (publish)
-        publish(d);
     Tick lm = q.peekNext();
     if (pendingMin)
         lm = std::min(lm, pendingMin(d));

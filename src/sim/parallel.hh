@@ -199,15 +199,6 @@ class ParallelEngine
     using StopFn = std::function<bool()>;
 
     /**
-     * Publish hook: called for every domain by its claiming worker
-     * after the domain drains each window, before the barrier. The
-     * client snapshots per-domain state (double-buffered on its
-     * side) that every domain's next merge may read — the Network
-     * uses it to reduce global tick-chain liveness.
-     */
-    using PublishFn = std::function<void(int domain)>;
-
-    /**
      * Window hook: called once per epoch (by the last thread to
      * arrive at the barrier, all others parked) with the window
      * start and the conservative end (start + lookahead). Returns
@@ -239,7 +230,6 @@ class ParallelEngine
 
     void setMergeHook(MergeFn fn) { merge = std::move(fn); }
     void setPendingMinHook(PendingMinFn fn) { pendingMin = std::move(fn); }
-    void setPublishHook(PublishFn fn) { publish = std::move(fn); }
     void setWindowHook(WindowFn fn) { windowFn = std::move(fn); }
     void setEpochHook(EpochFn fn) { epochHook = std::move(fn); }
 
@@ -334,7 +324,6 @@ class ParallelEngine
 
     MergeFn merge;
     PendingMinFn pendingMin;
-    PublishFn publish;
     WindowFn windowFn;
     EpochFn epochHook;
     const StopFn *stop_ = nullptr; ///< valid during run() only

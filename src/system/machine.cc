@@ -201,8 +201,6 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
             [netp](int d, Tick ws) { netp->mergeFor(d, ws); });
         m->par_->setPendingMinHook(
             [netp](int d) { return netp->pendingMinOf(d); });
-        m->par_->setPublishHook(
-            [netp](int d) { netp->publishFor(d); });
         m->par_->setWindowHook([netp](Tick ws, Tick base_end) {
             return netp->adaptiveWindow(ws, base_end);
         });

@@ -296,15 +296,19 @@ class LegacyNet
                              [this, node, h] { deliverNow(node, h); });
     }
 
+    /**
+     * Same wake rule as Network::activate: first tick at the clock
+     * edge at or after the activation. The replica's plumbing tracks
+     * the production fabric's timing; only the router is frozen.
+     */
     void
     activate(NodeId)
     {
         if (ticking)
             return;
         ticking = true;
-        const Clock clk(tickPeriod);
-        Tick edge = clk.nextEdge(ctx.now() + 1);
-        ctx.queue().scheduleAt(edge, [this] { tickAll(); });
+        ctx.queue().scheduleAt(Clock(tickPeriod).nextEdge(ctx.now()),
+                               [this] { tickAll(); });
     }
     /// @}
 

@@ -5,8 +5,11 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/network.hh"
+#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "topology/torus.hh"
 #include "topology/tree.hh"
@@ -57,6 +60,90 @@ TEST(Network, DeliversSinglePacket)
     EXPECT_TRUE(got);
     EXPECT_EQ(f.net.stats().deliveredPackets, 1u);
     EXPECT_EQ(f.net.inFlight(), 0);
+}
+
+/** Delivery ticks of one clocking-contract run (see below). */
+struct Crossing
+{
+    Tick probe = maxTick;     ///< the 0 -> 5 packet's delivery
+    Tick bystander = 0;       ///< last bystander delivery (0: none)
+};
+
+/**
+ * Send one packet 0 -> 5 across an idle 4x4 torus, optionally while
+ * router 10 — two hops from the probe's route, and in another tile
+ * of the 2x2 partition — drains a queue of packets to its neighbour
+ * 11. @p domains is 1 (serial) or 4 (2x2 tiles, two workers).
+ */
+Crossing
+crossIdleTorus(bool bystander, int domains)
+{
+    SimContext ctx;
+    topo::Torus2D topo(4, 4);
+    Network net(ctx, topo, NetworkParams::gs1280());
+    std::unique_ptr<ParallelEngine> eng;
+    if (domains > 1) {
+        ParallelEngine::Config cfg;
+        cfg.domains = domains;
+        cfg.threads = 2;
+        cfg.lookahead = net.conservativeLookahead();
+        eng = std::make_unique<ParallelEngine>(cfg);
+        std::vector<int> dom;
+        for (NodeId n = 0; n < topo.numNodes(); ++n)
+            dom.push_back(tileDomainOf(topo.xOf(n), topo.yOf(n), 4, 4,
+                                       TileShape{2, 2}));
+        std::vector<SimContext *> dctx;
+        for (int d = 0; d < domains; ++d)
+            dctx.push_back(&eng->domainCtx(d));
+        net.setPartition(std::move(dom), std::move(dctx));
+        eng->setMergeHook(
+            [&net](int d, Tick ws) { net.mergeFor(d, ws); });
+        eng->setPendingMinHook(
+            [&net](int d) { return net.pendingMinOf(d); });
+        eng->setWindowHook([&net](Tick ws, Tick base_end) {
+            return net.adaptiveWindow(ws, base_end);
+        });
+    }
+
+    Crossing out;
+    net.setHandler(5, [&](const Packet &) {
+        out.probe = net.ctxOf(5).now();
+    });
+    net.setHandler(11, [&](const Packet &) {
+        out.bystander = net.ctxOf(11).now();
+    });
+    if (bystander) {
+        for (int i = 0; i < 64; ++i)
+            net.inject(makePacket(10, 11));
+    }
+    net.inject(makePacket(0, 5));
+    if (eng)
+        eng->run(maxTick);
+    else
+        ctx.queue().runUntil();
+    return out;
+}
+
+/**
+ * Clocking contract: a router's tick times depend only on its own
+ * events. A busy router elsewhere in the machine — in the serial
+ * engine's shared tick chain, or in another tile — must not change
+ * when an idle router wakes, so the probe delivers at the same tick
+ * alone and beside the bystander, serial and partitioned.
+ */
+TEST(Network, RouterWakeIgnoresDistantBusyRouter)
+{
+    const Tick serial = crossIdleTorus(false, 1).probe;
+    ASSERT_NE(serial, maxTick);
+    for (int domains : {1, 4}) {
+        SCOPED_TRACE("domains=" + std::to_string(domains));
+        const Crossing alone = crossIdleTorus(false, domains);
+        const Crossing busy = crossIdleTorus(true, domains);
+        // The bystander really was busy across the whole crossing.
+        ASSERT_GT(busy.bystander, busy.probe);
+        EXPECT_EQ(alone.probe, serial);
+        EXPECT_EQ(busy.probe, serial);
+    }
 }
 
 TEST(Network, LoopbackBypassesFabric)

@@ -278,7 +278,6 @@ TEST(AllocCount, ParallelSteadyStateAllocatesNothingPerWorker)
     eng.setMergeHook(
         [&net](int d, Tick ws) { net.mergeFor(d, ws); });
     eng.setPendingMinHook([&net](int d) { return net.pendingMinOf(d); });
-    eng.setPublishHook([&net](int d) { net.publishFor(d); });
 
     // Every delivery re-injects to the next node; (n+1) % nodes
     // always lands in a different column, so every hop exercises the

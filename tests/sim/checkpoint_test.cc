@@ -166,6 +166,28 @@ TEST(CheckpointFormat, RejectsVersionMismatch)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointFormat, RejectsVersion5Snapshot)
+{
+    // v6 dropped the parallel engine's tick-chain liveness fields
+    // from each NETW shard: a v5 file must fail the version check
+    // up front rather than misparse.
+    const std::string path = tmpPath("ckpt_v5.gsckpt");
+    std::string err;
+    ASSERT_TRUE(ckpt::writeSnapshot(path, sampleSnapshot(), &err)) << err;
+    {
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(8);
+        const char v5[4] = {5, 0, 0, 0};
+        f.write(v5, 4);
+    }
+    std::vector<std::uint8_t> buf;
+    std::size_t off = 0;
+    EXPECT_FALSE(ckpt::readSnapshot(path, &buf, &off, &err));
+    EXPECT_NE(err.find("format version"), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointFormat, RejectsFileSmallerThanHeader)
 {
     const std::string path = tmpPath("ckpt_tiny.gsckpt");
