@@ -128,9 +128,9 @@ main(int argc, char **argv)
                              "400)"},
                    {"updates", "GUPS updates per CPU (default 1000)"},
                    {"full", "include the 32P GUPS point (slow)"}}));
-    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 400));
+    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 400, 1));
     auto updates =
-        static_cast<std::uint64_t>(args.getInt("updates", 1000));
+        static_cast<std::uint64_t>(args.getInt("updates", 1000, 1));
     bool full = args.getBool("full", false);
     auto runner = bench::makeRunner(args);
 

@@ -101,44 +101,80 @@ applyRouterKind(const Args &args, sys::Gs1280Options &opt)
     opt.routerKind = routerKindArg(args);
 }
 
-/** Apply --tile-shape=RxC or RxCxS (if given); die on malformed. */
-inline void
-applyTileShape(const Args &args, sys::Gs1280Options &opt)
+/**
+ * Parse --tile-shape=RxC or RxCxS: two or three 'x'-separated fields,
+ * each wholly a positive integer by the check getInt() applies.
+ * Absent gives {0, 0, 0}; anything malformed is fatal.
+ */
+inline TileShape
+tileShapeArg(const Args &args)
 {
     const std::string shape = args.getString("tile-shape", "");
     if (shape.empty())
-        return;
-    std::size_t x = shape.find('x');
-    int r = 0, c = 0, s = 0;
-    if (x != std::string::npos && x > 0 && x + 1 < shape.size()) {
-        std::size_t x2 = shape.find('x', x + 1);
-        try {
-            r = std::stoi(shape.substr(0, x));
-            if (x2 == std::string::npos) {
-                c = std::stoi(shape.substr(x + 1));
-                s = 1;
-            } else {
-                c = std::stoi(shape.substr(x + 1, x2 - x - 1));
-                s = std::stoi(shape.substr(x2 + 1));
-            }
-        } catch (...) {
-            r = c = s = 0;
+        return {0, 0, 0};
+    std::int64_t dim[3] = {1, 1, 1};
+    int fields = 0;
+    for (std::size_t at = 0;;) {
+        const std::size_t x = shape.find('x', at);
+        std::int64_t v = 0;
+        if (fields == 3 ||
+            !Args::parseInteger(shape.substr(at, x - at), &v) || v < 1 ||
+            v > std::numeric_limits<int>::max()) {
+            fields = 0;
+            break;
         }
+        dim[fields++] = v;
+        if (x == std::string::npos)
+            break;
+        at = x + 1;
     }
-    if (r < 1 || c < 1 || s < 1) {
+    if (fields < 2) {
         gs_fatal("--tile-shape=", shape,
                  ": expected RxC or RxCxS with positive integers "
                  "(e.g. 2x4 or 2x4x2)");
     }
-    opt.tileRows = r;
-    opt.tileCols = c;
-    opt.tileSlabs = s;
+    return {static_cast<int>(dim[0]), static_cast<int>(dim[1]),
+            static_cast<int>(dim[2])};
 }
 
-/** Build the runner a bench's --jobs/--seed options ask for. */
+/** Apply --tile-shape (if given) to @p opt; die on malformed. */
+inline void
+applyTileShape(const Args &args, sys::Gs1280Options &opt)
+{
+    const TileShape s = tileShapeArg(args);
+    if (s.rows == 0)
+        return;
+    opt.tileRows = s.rows;
+    opt.tileCols = s.cols;
+    opt.tileSlabs = s.slabs;
+}
+
+/** --sample-interval in ticks; at least one, the sampler's grain. */
+inline Tick
+sampleIntervalArg(const Args &args)
+{
+    return nsToTicks(args.getDouble("sample-interval", 1000.0,
+                                    1.0 / static_cast<double>(tickNs)));
+}
+
+/** --checkpoint-every in simulated ns; 0 (the default) is off. */
+inline double
+checkpointEveryArg(const Args &args)
+{
+    return args.getDouble("checkpoint-every", 0.0, 0.0);
+}
+
+/**
+ * Build the runner a bench's --jobs/--seed options ask for. Options
+ * its points and its observed run parse later are checked here
+ * first, so a bad one dies once, before any simulation starts.
+ */
 inline SweepRunner
 makeRunner(const Args &args)
 {
+    tileShapeArg(args);
+    sampleIntervalArg(args);
+    checkpointEveryArg(args);
     return SweepRunner(
         static_cast<int>(
             args.getInt("jobs", 0, 0, std::numeric_limits<int>::max())),
@@ -272,10 +308,9 @@ class TelemetrySession
                              "end-of-run snapshots without a "
                              "series\n";
             } else {
-                Tick interval = nsToTicks(
-                    args.getDouble("sample-interval", 1000.0));
                 sampler_ = std::make_unique<telem::Sampler>(
-                    machine.ctx(), machine.telemetry(), interval);
+                    machine.ctx(), machine.telemetry(),
+                    sampleIntervalArg(args));
                 watchLinkUtilization();
                 watchMemUtilization();
                 if (trace_)
@@ -497,8 +532,7 @@ class CheckpointSession
         : machine(m),
           restorePath(args.getString("restore-from", ""))
     {
-        const double everyNs =
-            args.getDouble("checkpoint-every", 0.0);
+        const double everyNs = checkpointEveryArg(args);
         if ((everyNs > 0 || !restorePath.empty()) &&
             !args.getString("trace", "").empty()) {
             gs_fatal("--trace is incompatible with checkpointing: "

@@ -33,7 +33,7 @@ main(int argc, char **argv)
         bench::withTelemetryArgs(bench::withSweepArgs(
             {{"loads", "loads per probe (default 3000)"}})));
     auto loads =
-        static_cast<std::uint64_t>(args.getInt("loads", 3000));
+        static_cast<std::uint64_t>(args.getInt("loads", 3000, 1));
 
     printBanner(std::cout,
                 "Extension: latency x-ray, 16-CPU GS1280 (ns)");

@@ -60,7 +60,7 @@ main(int argc, char **argv)
                   {{"updates", "updates per CPU (default 2000)"},
                    {"seed", "master seed (default 1)"}}));
     auto updates =
-        static_cast<std::uint64_t>(args.getInt("updates", 2000));
+        static_cast<std::uint64_t>(args.getInt("updates", 2000, 1));
     auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
 
     printBanner(std::cout,

@@ -73,7 +73,9 @@ main(int argc, char **argv)
               "and print aggregate stats (default 0 = off)"},
              {"gups-shape",
               "XxYxZ shape of the GUPS machine (default 8x8x8)"}}));
-    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 1200));
+    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 1200, 1));
+    auto gupsUpdates =
+        static_cast<std::uint64_t>(args.getInt("gups-updates", 0, 0));
     int threads = bench::machineThreads(args);
     auto runner = bench::makeRunner(args);
 
@@ -142,8 +144,6 @@ main(int argc, char **argv)
     // Optional GUPS leg: aggregate (per-CPU-free) stats only, so the
     // output is byte-comparable across worker-thread counts at any
     // machine size.
-    auto gupsUpdates =
-        static_cast<std::uint64_t>(args.getInt("gups-updates", 0));
     if (gupsUpdates > 0) {
         const std::string shape =
             args.getString("gups-shape", "8x8x8");

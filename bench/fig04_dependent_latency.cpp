@@ -21,7 +21,7 @@ main(int argc, char **argv)
     Args args(argc, argv,
               bench::withSweepArgs(
                   {{"loads", "loads per point (default 6000)"}}));
-    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 6000));
+    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 6000, 1));
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

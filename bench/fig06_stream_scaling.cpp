@@ -6,6 +6,7 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common.hh"
 #include "sim/args.hh"
@@ -18,9 +19,10 @@ main(int argc, char **argv)
               bench::withSweepArgs(
                   {{"max-cpus", "largest GS1280 point (default 32)"},
                    {"array-mb", "per-CPU array MB (default 2)"}}));
-    int maxCpus = static_cast<int>(args.getInt("max-cpus", 32));
+    int maxCpus = static_cast<int>(
+        args.getInt("max-cpus", 32, 1, std::numeric_limits<int>::max()));
     auto arrayBytes = static_cast<std::uint64_t>(
-                          args.getInt("array-mb", 2)) << 20;
+                          args.getInt("array-mb", 2, 1)) << 20;
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

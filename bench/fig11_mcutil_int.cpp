@@ -5,6 +5,7 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "cpu/analytic_core.hh"
 #include "sim/args.hh"
@@ -16,7 +17,8 @@ main(int argc, char **argv)
 {
     using namespace gs;
     Args args(argc, argv, {{"samples", "time samples (default 16)"}});
-    int samples = static_cast<int>(args.getInt("samples", 16));
+    int samples = static_cast<int>(
+        args.getInt("samples", 16, 1, std::numeric_limits<int>::max()));
 
     printBanner(std::cout,
                 "Figure 11: SPECint2000 memory controller utilization "

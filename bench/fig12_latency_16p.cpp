@@ -66,7 +66,7 @@ main(int argc, char **argv)
     Args args(argc, argv,
               bench::withSweepArgs(
                   {{"loads", "loads per probe (default 4000)"}}));
-    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 4000));
+    auto loads = static_cast<std::uint64_t>(args.getInt("loads", 4000, 1));
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

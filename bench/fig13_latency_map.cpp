@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "common.hh"
 #include "sim/args.hh"
@@ -22,7 +23,8 @@ main(int argc, char **argv)
     Args args(argc, argv,
               bench::withSweepArgs(
                   {{"cpus", "CPU count (default 16)"}}));
-    int cpus = static_cast<int>(args.getInt("cpus", 16));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 16, 1, std::numeric_limits<int>::max()));
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

@@ -84,7 +84,7 @@ main(int argc, char **argv)
               bench::withRouterArg(bench::withSweepArgs(
                   {{"reads", "reads per CPU per point (default 600)"},
                    {"full", "include the 64P sweep (slow)"}})));
-    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 600));
+    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 600, 1));
     bool full = args.getBool("full", false);
     // Applies to the GS1280 curves; the GS320 reference system has
     // its own switch-based fabric and ignores the flag.

@@ -65,7 +65,7 @@ main(int argc, char **argv)
     Args args(argc, argv,
               bench::withSweepArgs(
                   {{"reads", "reads per CPU per point (default 800)"}}));
-    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 800));
+    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 800, 1));
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

@@ -5,6 +5,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "sim/args.hh"
@@ -17,7 +18,8 @@ main(int argc, char **argv)
 {
     using namespace gs;
     Args args(argc, argv, {{"cpus", "CPU count (default 8)"}});
-    int cpus = static_cast<int>(args.getInt("cpus", 8));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 8, 1, std::numeric_limits<int>::max()));
 
     printBanner(std::cout,
                 "Figure 22: SP memory and IP-link utilization over "

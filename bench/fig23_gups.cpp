@@ -51,7 +51,7 @@ main(int argc, char **argv)
                        {"full",
                         "include the 64P point (slow)"}})))));
     auto updates =
-        static_cast<std::uint64_t>(args.getInt("updates", 1500));
+        static_cast<std::uint64_t>(args.getInt("updates", 1500, 1));
     bool full = args.getBool("full", false);
     int threads = bench::machineThreads(args);
     auto runner = bench::makeRunner(args);

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     Args args(argc, argv,
               {{"updates", "updates per CPU (default 2000)"}});
     auto updates =
-        static_cast<std::uint64_t>(args.getInt("updates", 2000));
+        static_cast<std::uint64_t>(args.getInt("updates", 2000, 1));
 
     printBanner(std::cout,
                 "Figure 24: GUPS utilization over time, 32P GS1280 "

@@ -6,6 +6,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "common.hh"
@@ -62,8 +63,9 @@ main(int argc, char **argv)
               bench::withSweepArgs(
                   {{"cpus", "CPU count (default 16)"},
                    {"reads", "reads per CPU per point (default 700)"}}));
-    int cpus = static_cast<int>(args.getInt("cpus", 16));
-    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 700));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 16, 1, std::numeric_limits<int>::max()));
+    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 700, 1));
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,

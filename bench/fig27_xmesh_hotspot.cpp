@@ -7,6 +7,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "sim/args.hh"
@@ -21,8 +22,9 @@ main(int argc, char **argv)
     Args args(argc, argv,
               {{"cpus", "CPU count (default 16)"},
                {"reads", "reads per CPU (default 2500)"}});
-    int cpus = static_cast<int>(args.getInt("cpus", 16));
-    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 2500));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 16, 1, std::numeric_limits<int>::max()));
+    auto reads = static_cast<std::uint64_t>(args.getInt("reads", 2500, 1));
 
     printBanner(std::cout,
                 "Figure 27: Xmesh with a hot spot (" +

@@ -13,6 +13,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "sim/args.hh"
@@ -28,7 +29,8 @@ main(int argc, char **argv)
     Args args(argc, argv,
               {{"cpus", "CPU count (default 8)"},
                {"mb", "MB per DMA stream (default 4)"}});
-    int cpus = static_cast<int>(args.getInt("cpus", 8));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 8, 1, std::numeric_limits<int>::max()));
     auto bytes =
         static_cast<std::uint64_t>(args.getInt("mb", 4)) << 20;
 

@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "sim/args.hh"
@@ -60,7 +61,8 @@ main(int argc, char **argv)
     Args args(argc, argv,
               {{"cpus", "CPU count (default 16)"},
                {"ops", "ops per CPU (default 2000)"}});
-    int cpus = static_cast<int>(args.getInt("cpus", 16));
+    int cpus = static_cast<int>(
+        args.getInt("cpus", 16, 1, std::numeric_limits<int>::max()));
     auto ops = static_cast<std::uint64_t>(args.getInt("ops", 4000));
 
     std::cout << "Xmesh demo: spot the difference between balanced "

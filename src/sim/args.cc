@@ -77,14 +77,24 @@ Args::getInt(const std::string &key, std::int64_t def, std::int64_t lo,
     auto it = values.find(key);
     if (it == values.end())
         return def;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text, &end, 0);
-    if (end == text || *end != '\0' || errno == ERANGE)
+    std::int64_t v = 0;
+    if (!parseInteger(it->second, &v))
         gs_fatal("--", key, "=", it->second, ": expected an integer");
     checkRange<std::int64_t>(key, it->second, v, lo, hi);
     return v;
+}
+
+bool
+Args::parseInteger(const std::string &text, std::int64_t *out)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(begin, &end, 0);
+    if (end == begin || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = v;
+    return true;
 }
 
 double

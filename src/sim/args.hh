@@ -55,6 +55,14 @@ class Args
 
     bool getBool(const std::string &key, bool def) const;
 
+    /**
+     * Whether @p text is wholly an integer by getInt()'s rules
+     * (decimal, 0x hex or 0 octal; no trailing text, no overflow);
+     * the value goes to @p out. For options that embed numbers,
+     * such as --tile-shape=RxC.
+     */
+    static bool parseInteger(const std::string &text, std::int64_t *out);
+
   private:
     std::map<std::string, std::string> values;
 };

@@ -75,6 +75,18 @@ TEST(Args, InRangeValuesPass)
     EXPECT_EQ(args.getInt("absent", -1, 0), -1);
 }
 
+TEST(Args, ParseIntegerIsGetIntsCheck)
+{
+    std::int64_t v = 0;
+    EXPECT_TRUE(Args::parseInteger("0x10", &v));
+    EXPECT_EQ(v, 16);
+    EXPECT_TRUE(Args::parseInteger("-3", &v));
+    EXPECT_EQ(v, -3);
+    for (const char *bad : {"", "2junk", "x", "99999999999999999999"})
+        EXPECT_FALSE(Args::parseInteger(bad, &v)) << bad;
+    EXPECT_EQ(v, -3) << "a rejected field leaves the output alone";
+}
+
 using ArgsDeathTest = testing::Test;
 
 TEST_F(ArgsDeathTest, TrailingGarbageInIntegerIsFatal)
