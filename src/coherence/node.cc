@@ -8,27 +8,6 @@
 namespace gs::coher
 {
 
-namespace
-{
-
-/** Build the checkpoint descriptor for a node-owned event. */
-ckpt::EventDesc
-cohDesc(ckpt::EvKind kind, NodeId owner, int a = 0, int b = 0,
-        int c = 0, std::uint64_t u = 0, std::uint64_t v = 0)
-{
-    ckpt::EventDesc d;
-    d.kind = kind;
-    d.owner = static_cast<std::uint16_t>(owner);
-    d.a = a;
-    d.b = b;
-    d.c = c;
-    d.u = u;
-    d.v = v;
-    return d;
-}
-
-} // namespace
-
 CoherentNode::CoherentNode(SimContext &context, net::Network &network,
                            NodeId node, const mem::AddressMap &addr_map,
                            NodeConfig config)
@@ -331,13 +310,15 @@ CoherentNode::sendAfter(double delay_ns, MsgType type, NodeId dst,
                         mem::Addr line, NodeId requester,
                         std::uint32_t aux)
 {
-    ctx.queue().schedule(nsToTicks(delay_ns),
-                         cohDesc(ckpt::CohSendMsg, self,
-                                 static_cast<int>(type), dst, requester,
-                                 line, aux),
-                         [this, type, dst, line, requester, aux] {
-        send(type, dst, line, requester, aux);
-    });
+    post(delay_ns, ckpt::makeDesc(ckpt::CohSendMsg, self,
+                                  static_cast<int>(type), dst, requester,
+                                  line, aux));
+}
+
+void
+CoherentNode::post(double delay_ns, const ckpt::EventDesc &d)
+{
+    ctx.queue().schedule(nsToTicks(delay_ns), d, [this, d] { fire(d); });
 }
 
 void
@@ -555,10 +536,8 @@ CoherentNode::finishFill(mem::Addr line)
         // snapshot needs to re-attach the (serializable) group.
         const std::uint64_t id = nextFillBatch++;
         fillBatches.emplace(id, std::move(entry.waiters));
-        ctx.queue().schedule(
-            nsToTicks(cfg.fillOverheadNs),
-            cohDesc(ckpt::CohFillBatch, self, 0, 0, 0, id),
-            [this, id] { runFillBatch(id); });
+        post(cfg.fillOverheadNs,
+             ckpt::makeDesc(ckpt::CohFillBatch, self, 0, 0, 0, id));
     }
 
     // Forwards that raced with the miss can be serviced now.
@@ -569,17 +548,6 @@ CoherentNode::finishFill(mem::Addr line)
         memAccess(line, write, std::move(done));
 
     pumpPendingCore();
-}
-
-void
-CoherentNode::runFillBatch(std::uint64_t id)
-{
-    auto it = fillBatches.find(id);
-    gs_assert(it != fillBatches.end(), "fill batch ", id, " vanished");
-    std::vector<ckpt::Cont> waiters = std::move(it->second);
-    fillBatches.erase(it);
-    for (const auto &w : waiters)
-        w();
 }
 
 void
@@ -771,25 +739,17 @@ CoherentNode::homeProcess(const Msg &m)
     switch (m.type) {
       case MsgType::RdReq:
       case MsgType::RdModReq:
-        if (entry.state == DirState::Invalid) {
+        if (entry.state == DirState::Invalid ||
+            entry.state == DirState::Shared) {
+            const auto d =
+                entry.state == DirState::Invalid
+                    ? ckpt::makeDesc(ckpt::CohHomeReadExcl, self, req, 0,
+                                     0, line)
+                    : ckpt::makeDesc(ckpt::CohHomeReadShared, self, req,
+                                     m.type == MsgType::RdModReq ? 1 : 0,
+                                     0, line);
             entry.state = DirState::Busy;
-            zboxReadSpan(
-                line, req,
-                ckpt::Cont(cohDesc(ckpt::CohHomeReadExcl, self, req, 0,
-                                   0, line),
-                           [this, line, req] {
-                               scheduleHomeExcl(line, req);
-                           }));
-        } else if (entry.state == DirState::Shared) {
-            entry.state = DirState::Busy;
-            bool mod = m.type == MsgType::RdModReq;
-            zboxReadSpan(
-                line, req,
-                ckpt::Cont(cohDesc(ckpt::CohHomeReadShared, self, req,
-                                   mod ? 1 : 0, 0, line),
-                           [this, line, req, mod] {
-                               scheduleHomeShared(line, req, mod);
-                           }));
+            zboxReadSpan(line, req, ckpt::Cont(d, [this, d] { fire(d); }));
         } else { // Exclusive at a third party: forward.
             gs_assert(entry.owner != req, "owner re-request reached "
                                           "homeProcess");
@@ -812,11 +772,9 @@ CoherentNode::homeProcess(const Msg &m)
             bool dirty = m.type == MsgType::VictimWB;
             if (dirty)
                 zboxFor(line).write(line);
-            ctx.queue().schedule(
-                nsToTicks(cfg.homeOverheadNs),
-                cohDesc(ckpt::CohHomeApplyVictim, self, req, 0, 0,
-                        line),
-                [this, line, req] { applyHomeVictim(line, req); });
+            post(cfg.homeOverheadNs,
+                 ckpt::makeDesc(ckpt::CohHomeApplyVictim, self, req, 0, 0,
+                                line));
         } else {
             // Stale victim: its line was already forwarded away from
             // the sender's victim buffer. Ack and drop the data.
@@ -828,38 +786,6 @@ CoherentNode::homeProcess(const Msg &m)
       default:
         gs_panic("bad home request type");
     }
-}
-
-void
-CoherentNode::scheduleHomeExcl(mem::Addr line, NodeId req)
-{
-    spanDramDone(line, req);
-    ctx.queue().schedule(
-        nsToTicks(cfg.homeOverheadNs),
-        cohDesc(ckpt::CohHomeApplyExcl, self, req, 0, 0, line),
-        [this, line, req] { applyHomeExcl(line, req); });
-}
-
-void
-CoherentNode::applyHomeExcl(mem::Addr line, NodeId req)
-{
-    DirEntry &e = dir[line];
-    e.state = DirState::Exclusive;
-    e.owner = req;
-    e.sharers = 0;
-    send(MsgType::BlkExclusive, req, line, req, 0);
-    finishTxn(line);
-}
-
-void
-CoherentNode::scheduleHomeShared(mem::Addr line, NodeId req, bool mod)
-{
-    spanDramDone(line, req);
-    ctx.queue().schedule(
-        nsToTicks(cfg.homeOverheadNs),
-        cohDesc(ckpt::CohHomeApplyShared, self, req, mod ? 1 : 0, 0,
-                line),
-        [this, line, req, mod] { applyHomeShared(line, req, mod); });
 }
 
 int
@@ -899,56 +825,6 @@ CoherentNode::sendInvals(std::uint64_t sharers, mem::Addr line,
 }
 
 void
-CoherentNode::applyHomeShared(mem::Addr line, NodeId req, bool mod)
-{
-    DirEntry &e = dir[line];
-    if (!mod) {
-        e.sharers |= sharerBit(req);
-        e.state = DirState::Shared;
-        send(MsgType::BlkShared, req, line, req, 0);
-    } else {
-        int count = sendInvals(e.sharers, line, req);
-        e.sharers = 0;
-        e.owner = req;
-        e.state = DirState::Exclusive;
-        send(MsgType::BlkExclusive, req, line, req,
-             static_cast<std::uint32_t>(count));
-    }
-    finishTxn(line);
-}
-
-void
-CoherentNode::applyHomeVictim(mem::Addr line, NodeId req)
-{
-    DirEntry &e = dir[line];
-    e.state = DirState::Invalid;
-    e.owner = invalidNode;
-    e.sharers = 0;
-    send(MsgType::VictimAck, req, line, req);
-    finishTxn(line);
-}
-
-void
-CoherentNode::applyHomeDowngrade(mem::Addr line, std::uint64_t sharers)
-{
-    DirEntry &e = dir[line];
-    e.state = DirState::Shared;
-    e.sharers = sharers;
-    e.owner = invalidNode;
-    finishTxn(line);
-}
-
-void
-CoherentNode::applyHomeTransfer(mem::Addr line, NodeId req)
-{
-    DirEntry &e = dir[line];
-    e.state = DirState::Exclusive;
-    e.owner = req;
-    e.sharers = 0;
-    finishTxn(line);
-}
-
-void
 CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 {
     auto it = dir.find(m.line);
@@ -971,20 +847,17 @@ CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
         std::uint64_t sharers = sharerBit(req);
         if (retains)
             sharers |= sharerBit(from);
-        ctx.queue().schedule(
-            nsToTicks(cfg.homeOverheadNs),
-            cohDesc(ckpt::CohHomeApplyDowngrade, self, 0, 0, 0, line,
-                    sharers),
-            [this, line, sharers] { applyHomeDowngrade(line, sharers); });
+        post(cfg.homeOverheadNs,
+             ckpt::makeDesc(ckpt::CohHomeApplyDowngrade, self, 0, 0, 0,
+                            line, sharers));
         break;
       }
       case MsgType::FwdAckTransfer:
         gs_assert(tit->second.type == MsgType::RdModReq,
                   "transfer reply for a non-write transaction");
-        ctx.queue().schedule(
-            nsToTicks(cfg.homeOverheadNs),
-            cohDesc(ckpt::CohHomeApplyTransfer, self, req, 0, 0, line),
-            [this, line, req] { applyHomeTransfer(line, req); });
+        post(cfg.homeOverheadNs,
+             ckpt::makeDesc(ckpt::CohHomeApplyTransfer, self, req, 0, 0,
+                            line));
         break;
       default:
         gs_panic("bad owner reply type");
@@ -1312,66 +1185,92 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     }
 }
 
-std::function<void()>
-CoherentNode::rehydrateEvent(const ckpt::EventDesc &d)
+void
+CoherentNode::fire(const ckpt::EventDesc &d)
 {
+    const mem::Addr line = d.u;
+    const NodeId req = d.a;
     switch (d.kind) {
-      case ckpt::CohSendMsg: {
-        const auto type = static_cast<MsgType>(d.a);
-        const NodeId dst = d.b;
-        const NodeId requester = d.c;
-        const mem::Addr line = d.u;
-        const auto aux = static_cast<std::uint32_t>(d.v);
-        return [this, type, dst, line, requester, aux] {
-            send(type, dst, line, requester, aux);
-        };
-      }
+      case ckpt::CohSendMsg:
+        send(static_cast<MsgType>(d.a), d.b, line, d.c,
+             static_cast<std::uint32_t>(d.v));
+        break;
       case ckpt::CohFillBatch: {
-        const std::uint64_t id = d.u;
-        return [this, id] { runFillBatch(id); };
+        auto it = fillBatches.find(d.u);
+        gs_assert(it != fillBatches.end(), "fill batch ", d.u,
+                  " vanished");
+        std::vector<ckpt::Cont> waiters = std::move(it->second);
+        fillBatches.erase(it);
+        for (const auto &w : waiters)
+            w();
+        break;
       }
-      case ckpt::CohHomeReadExcl: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { scheduleHomeExcl(line, req); };
-      }
+      case ckpt::CohHomeReadExcl:
+        // Zbox read done; the directory update follows.
+        spanDramDone(line, req);
+        post(cfg.homeOverheadNs,
+             ckpt::makeDesc(ckpt::CohHomeApplyExcl, self, req, 0, 0,
+                            line));
+        break;
       case ckpt::CohHomeApplyExcl: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeExcl(line, req); };
+        DirEntry &e = dir[line];
+        e.state = DirState::Exclusive;
+        e.owner = req;
+        e.sharers = 0;
+        send(MsgType::BlkExclusive, req, line, req, 0);
+        finishTxn(line);
+        break;
       }
-      case ckpt::CohHomeReadShared: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        const bool mod = d.b != 0;
-        return
-            [this, line, req, mod] { scheduleHomeShared(line, req, mod); };
-      }
+      case ckpt::CohHomeReadShared:
+        spanDramDone(line, req);
+        post(cfg.homeOverheadNs,
+             ckpt::makeDesc(ckpt::CohHomeApplyShared, self, req, d.b, 0,
+                            line));
+        break;
       case ckpt::CohHomeApplyShared: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        const bool mod = d.b != 0;
-        return
-            [this, line, req, mod] { applyHomeShared(line, req, mod); };
+        DirEntry &e = dir[line];
+        if (d.b == 0) {
+            e.sharers |= sharerBit(req);
+            e.state = DirState::Shared;
+            send(MsgType::BlkShared, req, line, req, 0);
+        } else {
+            int count = sendInvals(e.sharers, line, req);
+            e.sharers = 0;
+            e.owner = req;
+            e.state = DirState::Exclusive;
+            send(MsgType::BlkExclusive, req, line, req,
+                 static_cast<std::uint32_t>(count));
+        }
+        finishTxn(line);
+        break;
       }
       case ckpt::CohHomeApplyVictim: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeVictim(line, req); };
+        DirEntry &e = dir[line];
+        e.state = DirState::Invalid;
+        e.owner = invalidNode;
+        e.sharers = 0;
+        send(MsgType::VictimAck, req, line, req);
+        finishTxn(line);
+        break;
       }
       case ckpt::CohHomeApplyDowngrade: {
-        const mem::Addr line = d.u;
-        const std::uint64_t sharers = d.v;
-        return
-            [this, line, sharers] { applyHomeDowngrade(line, sharers); };
+        DirEntry &e = dir[line];
+        e.state = DirState::Shared;
+        e.sharers = d.v;
+        e.owner = invalidNode;
+        finishTxn(line);
+        break;
       }
       case ckpt::CohHomeApplyTransfer: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeTransfer(line, req); };
+        DirEntry &e = dir[line];
+        e.state = DirState::Exclusive;
+        e.owner = req;
+        e.sharers = 0;
+        finishTxn(line);
+        break;
       }
       default:
-        return {};
+        gs_panic("node ", self, " fired a foreign event kind ", d.kind);
     }
 }
 

@@ -245,16 +245,19 @@ class CoherentNode
      * deferred forwards by value), victim buffers, the directory
      * (including Busy-transaction bookkeeping and queued requests),
      * throttled core accesses and in-flight fill batches. Restore
-     * rebuilds every held continuation through @p rehydrate.
-     * rehydrateEvent rebuilds the callbacks of pending events this
-     * node owns (Coh* descriptor kinds).
+     * rebinds every held continuation through @p rehydrate.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d,
                      const ckpt::RehydrateFn &rehydrate);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
+
+    /**
+     * Act on a node event (Coh* kinds, owner = this node): the one
+     * place each is performed, live or restored.
+     */
+    void fire(const ckpt::EventDesc &d);
 
   private:
     /** One outstanding miss. */
@@ -309,6 +312,8 @@ class CoherentNode
     void sendAfter(double delay_ns, MsgType type, NodeId dst,
                    mem::Addr line, NodeId requester,
                    std::uint32_t aux = 0);
+    /** Schedule fire(@p d) after @p delay_ns. */
+    void post(double delay_ns, const ckpt::EventDesc &d);
 
     // -- latency x-ray (no-ops unless spans_ is set; see TRACING.md)
     /** Move a parked span onto an outgoing carrier message. */
@@ -326,7 +331,6 @@ class CoherentNode
     void handleInvalAck(const Msg &m);
     void tryComplete(mem::Addr line);
     void finishFill(mem::Addr line);
-    void runFillBatch(std::uint64_t id);
     void evictIfNeeded(const mem::Victim &victim);
     void handleForward(const net::Packet &pkt);
     void handleVictimAck(const Msg &m);
@@ -353,19 +357,6 @@ class CoherentNode
     void homeOwnerReply(const Msg &m, NodeId from);
     void finishTxn(mem::Addr line);
     mem::Zbox &zboxFor(mem::Addr line);
-
-    // Home transaction bodies, factored out of homeProcess /
-    // homeOwnerReply so rehydrateEvent can rebuild the exact
-    // callback a snapshot found pending (scheduleHome* are the
-    // zbox-read continuations; applyHome* the directory updates
-    // they schedule after homeOverheadNs).
-    void scheduleHomeExcl(mem::Addr line, NodeId req);
-    void applyHomeExcl(mem::Addr line, NodeId req);
-    void scheduleHomeShared(mem::Addr line, NodeId req, bool mod);
-    void applyHomeShared(mem::Addr line, NodeId req, bool mod);
-    void applyHomeVictim(mem::Addr line, NodeId req);
-    void applyHomeDowngrade(mem::Addr line, std::uint64_t sharers);
-    void applyHomeTransfer(mem::Addr line, NodeId req);
 
     SimContext &ctx;
     net::Network &net_;

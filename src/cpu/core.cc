@@ -1,40 +1,11 @@
 #include "cpu/core.hh"
 
-#include <cstring>
+#include <bit>
 
 #include "sim/logging.hh"
 
 namespace gs::cpu
 {
-
-namespace
-{
-
-/** Encode a core event (the full MemOp rides in the operands). */
-ckpt::EventDesc
-opDesc(ckpt::EvKind kind, NodeId owner, const MemOp &op)
-{
-    ckpt::EventDesc d;
-    d.kind = kind;
-    d.owner = static_cast<std::uint16_t>(owner);
-    d.a = (op.write ? 1 : 0) | (op.dependent ? 2 : 0);
-    d.u = op.addr;
-    std::memcpy(&d.v, &op.thinkNs, sizeof(d.v));
-    return d;
-}
-
-MemOp
-opOf(const ckpt::EventDesc &d)
-{
-    MemOp op;
-    op.addr = d.u;
-    op.write = (d.a & 1) != 0;
-    op.dependent = (d.a & 2) != 0;
-    std::memcpy(&op.thinkNs, &d.v, sizeof(op.thinkNs));
-    return op;
-}
-
-} // namespace
 
 TimingCore::TimingCore(SimContext &context, coher::CoherentNode &n,
                        CoreParams params)
@@ -81,10 +52,9 @@ TimingCore::pump()
             if (staged->thinkNs > 0) {
                 // Compute serializes in front of the issue stage.
                 thinking = true;
-                ctx.queue().schedule(
-                    nsToTicks(staged->thinkNs),
-                    opDesc(ckpt::CoreThink, node.id(), *staged),
-                    [this] { thinkDone(); });
+                const auto d = opEvent(ckpt::CoreThink, *staged);
+                ctx.queue().schedule(nsToTicks(staged->thinkNs), d,
+                                     [this, d] { fire(d); });
                 return;
             }
         }
@@ -92,16 +62,6 @@ TimingCore::pump()
         staged.reset();
         issue(op);
     }
-}
-
-void
-TimingCore::thinkDone()
-{
-    thinking = false;
-    MemOp op = *staged;
-    staged.reset();
-    issue(op);
-    pump();
 }
 
 void
@@ -116,25 +76,24 @@ TimingCore::issue(const MemOp &op)
     // always visit the coherent L2 so upgrades are never skipped.
     if (l1 && !op.write && l1->lookup(op.addr, false).hit) {
         st.l1Hits += 1;
-        ctx.queue().schedule(nsToTicks(prm.l1.loadToUseNs),
-                             opDesc(ckpt::CoreL1Hit, node.id(), op),
-                             [this, op] { complete(op); });
+        const auto d = opEvent(ckpt::CoreL1Hit, op);
+        ctx.queue().schedule(nsToTicks(prm.l1.loadToUseNs), d,
+                             [this, d] { fire(d); });
         return;
     }
 
+    const auto d = opEvent(ckpt::CoreMemDone, op);
     node.memAccess(op.addr, op.write,
-                   ckpt::Cont(opDesc(ckpt::CoreMemDone, node.id(), op),
-                              [this, op] { memDone(op); }));
+                   ckpt::Cont(d, [this, d] { fire(d); }));
 }
 
-void
-TimingCore::memDone(const MemOp &op)
+ckpt::EventDesc
+TimingCore::opEvent(ckpt::EvKind kind, const MemOp &op) const
 {
-    if (l1 && !l1->contains(op.addr)) {
-        mem::Victim victim = l1->fill(op.addr, mem::LineState::Shared);
-        (void)victim; // L1 is write-through here; drop silently
-    }
-    complete(op);
+    return ckpt::makeDesc(kind, node.id(),
+                          (op.write ? 1 : 0) | (op.dependent ? 2 : 0), 0,
+                          0, op.addr,
+                          std::bit_cast<std::uint64_t>(op.thinkNs));
 }
 
 void
@@ -225,22 +184,38 @@ TimingCore::restoreCkpt(ckpt::Deserializer &d)
         l1->restoreCkpt(d);
 }
 
-std::function<void()>
-TimingCore::rehydrateEvent(const ckpt::EventDesc &d)
+void
+TimingCore::fire(const ckpt::EventDesc &d)
 {
+    MemOp op;
+    op.addr = d.u;
+    op.write = (d.a & 1) != 0;
+    op.dependent = (d.a & 2) != 0;
+    op.thinkNs = std::bit_cast<double>(d.v);
     switch (d.kind) {
-      case ckpt::CoreThink:
-        return [this] { thinkDone(); };
-      case ckpt::CoreL1Hit: {
-        const MemOp op = opOf(d);
-        return [this, op] { complete(op); };
+      case ckpt::CoreThink: {
+        // The think time elapsed: issue the staged op.
+        thinking = false;
+        const MemOp next = *staged;
+        staged.reset();
+        issue(next);
+        pump();
+        break;
       }
-      case ckpt::CoreMemDone: {
-        const MemOp op = opOf(d);
-        return [this, op] { memDone(op); };
-      }
+      case ckpt::CoreL1Hit:
+        complete(op);
+        break;
+      case ckpt::CoreMemDone:
+        if (l1 && !l1->contains(op.addr)) {
+            mem::Victim victim =
+                l1->fill(op.addr, mem::LineState::Shared);
+            (void)victim; // L1 is write-through here; drop silently
+        }
+        complete(op);
+        break;
       default:
-        return {};
+        gs_panic("cpu ", node.id(), " fired a foreign event kind ",
+                 d.kind);
     }
 }
 

@@ -93,21 +93,24 @@ class TimingCore
      *
      * The attached TrafficSource is serialized by its owner (the
      * bench keeps the sources; Machine::save snapshots them in the
-     * workload section). rehydrateEvent rebuilds think-timer, L1-hit
-     * and memory-completion callbacks (Core* descriptor kinds, op
-     * operands encoded in the desc).
+     * workload section).
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
+
+    /**
+     * Act on a core event (Core* kinds: think timer, L1 hit, memory
+     * completion), live or restored. The op rides in the operands.
+     */
+    void fire(const ckpt::EventDesc &d);
 
   private:
     void pump();
     void issue(const MemOp &op);
-    void thinkDone();
-    void memDone(const MemOp &op);
+    /** Descriptor of a Core* event about @p op (see EvKind). */
+    ckpt::EventDesc opEvent(ckpt::EvKind kind, const MemOp &op) const;
     void complete(const MemOp &op);
     void maybeFinish();
 

@@ -28,44 +28,30 @@ FaultInjector::FaultInjector(SimContext &context, net::Network &net,
         net_.onTopologyChange();
 }
 
-namespace
+void
+FaultInjector::schedule(const FaultPlan &plan)
 {
-
-ckpt::EventDesc
-faultDesc(const FaultEvent &event)
-{
-    ckpt::EventDesc d;
-    d.kind = ckpt::FaultApply;
-    d.a = static_cast<std::int32_t>(event.kind);
-    d.b = event.node;
-    d.c = event.port;
-    d.u = static_cast<std::uint64_t>(event.when);
-    return d;
+    for (const FaultEvent &event : plan.events()) {
+        const auto d = ckpt::makeDesc(
+            ckpt::FaultApply, 0, static_cast<std::int32_t>(event.kind),
+            event.node, event.port, static_cast<std::uint64_t>(event.when));
+        ctx.queue().scheduleAt(event.when, d, [this, d] { fire(d); });
+    }
 }
 
-FaultEvent
-faultOf(const ckpt::EventDesc &d)
+void
+FaultInjector::fire(const ckpt::EventDesc &d)
 {
+    gs_assert(d.kind == ckpt::FaultApply,
+              "fault injector fired a foreign event kind ", d.kind);
+    if (suppress_)
+        return;
     FaultEvent event;
     event.when = static_cast<Tick>(d.u);
     event.kind = static_cast<FaultKind>(d.a);
     event.node = d.b;
     event.port = d.c;
-    return event;
-}
-
-} // namespace
-
-void
-FaultInjector::schedule(const FaultPlan &plan)
-{
-    for (const FaultEvent &event : plan.events()) {
-        ctx.queue().scheduleAt(event.when, faultDesc(event),
-                               [this, event] {
-                                   if (!suppress_)
-                                       apply(event);
-                               });
-    }
+    apply(event);
 }
 
 void
@@ -133,18 +119,6 @@ FaultInjector::restoreCkpt(ckpt::Deserializer &d)
     // again, so the live flag wins over the serialized one.
     bool was = d.getBool();
     suppress_ = suppress_ || was;
-}
-
-std::function<void()>
-FaultInjector::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    if (d.kind != ckpt::FaultApply)
-        return {};
-    const FaultEvent event = faultOf(d);
-    return [this, event] {
-        if (!suppress_)
-            apply(event);
-    };
 }
 
 void

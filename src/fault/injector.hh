@@ -154,14 +154,17 @@ class FaultInjector
     /** @name Checkpoint/restore: statistics + suppression flag.
      *
      * Pending FaultApply events live in the event queue; the whole
-     * FaultEvent is encoded in the descriptor operands, so
-     * rehydrateEvent rebuilds them without a plan replay.
+     * FaultEvent is encoded in the descriptor operands, so a restore
+     * re-enters them without a plan replay.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
+
+    /** Apply a scheduled FaultApply event unless faults are
+     *  suppressed (live or restored). */
+    void fire(const ckpt::EventDesc &d);
 
   private:
     SimContext &ctx;

@@ -37,9 +37,10 @@ Watchdog::Watchdog(SimContext &context, net::Network &net,
 void
 Watchdog::arm()
 {
-    if (token)
+    if (armed_)
         return;
-    token = std::make_shared<char>(0);
+    armed_ = true;
+    gen_ += 1;
     lastProgress =
         net_.stats().deliveredPackets + net_.stats().droppedPackets;
     lastProgressTick = ctx.now();
@@ -50,23 +51,27 @@ Watchdog::arm()
 void
 Watchdog::disarm()
 {
-    // Pending poll events hold only a weak reference; dropping the
-    // token turns them into no-ops without touching the event queue.
-    token.reset();
+    // A pending poll carries the generation it was armed under;
+    // disarming (and any later re-arm) leaves it a no-op without
+    // touching the event queue.
+    armed_ = false;
 }
 
 void
 Watchdog::scheduleNext()
 {
     Tick delay = static_cast<Tick>(cfg.checkCycles) * net_.period();
-    ckpt::EventDesc desc;
-    desc.kind = ckpt::WatchdogPoll;
-    std::weak_ptr<char> alive = token;
-    ctx.queue().scheduleAt(ctx.now() + delay, desc, [this, alive] {
-        if (alive.expired())
-            return;
+    const auto d = ckpt::makeDesc(ckpt::WatchdogPoll, 0, 0, 0, 0, gen_);
+    ctx.queue().scheduleAt(ctx.now() + delay, d, [this, d] { fire(d); });
+}
+
+void
+Watchdog::fire(const ckpt::EventDesc &d)
+{
+    gs_assert(d.kind == ckpt::WatchdogPoll,
+              "watchdog fired a foreign event kind ", d.kind);
+    if (armed_ && d.u == gen_)
         poll();
-    });
 }
 
 void
@@ -153,7 +158,7 @@ Watchdog::trip(const std::string &why)
 {
     tripped_ = true;
     trips_ += 1;
-    token.reset();
+    armed_ = false;
 
     // Every trip reason carries the context an operator needs to
     // correlate with traces: simulated time, the node holding the
@@ -181,7 +186,8 @@ Watchdog::trip(const std::string &why)
 void
 Watchdog::saveCkpt(ckpt::Serializer &s) const
 {
-    s.putBool(token != nullptr);
+    s.putBool(armed_);
+    s.put64(gen_);
     s.put64(lastProgress);
     s.put64(static_cast<std::uint64_t>(lastProgressTick));
     s.put64(static_cast<std::uint64_t>(stalledCycles));
@@ -192,29 +198,13 @@ Watchdog::saveCkpt(ckpt::Serializer &s) const
 void
 Watchdog::restoreCkpt(ckpt::Deserializer &d)
 {
-    bool wasArmed = d.getBool();
+    armed_ = d.getBool();
+    gen_ = d.get64();
     lastProgress = d.get64();
     lastProgressTick = static_cast<Tick>(d.get64());
     stalledCycles = static_cast<long>(d.get64());
     tripped_ = d.getBool();
     trips_ = d.get64();
-    if (!d.ok())
-        return;
-    token = wasArmed ? std::make_shared<char>(0) : nullptr;
-}
-
-std::function<void()>
-Watchdog::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    if (d.kind != ckpt::WatchdogPoll)
-        return {};
-    // Rehydrated polls key liveness off the token itself: pending
-    // events from before the snapshot died with the old token, and
-    // disarm() after restore still cancels these.
-    return [this] {
-        if (token)
-            poll();
-    };
 }
 
 std::string

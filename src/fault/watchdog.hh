@@ -22,7 +22,6 @@
 #define GS_FAULT_WATCHDOG_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,7 @@ class Watchdog
     /** Stop polling; pending poll events become no-ops. */
     void disarm();
 
-    bool armed() const { return token != nullptr; }
+    bool armed() const { return armed_; }
     bool tripped() const { return tripped_; }
 
     /** Times the watchdog has tripped over its lifetime. */
@@ -100,16 +99,22 @@ class Watchdog
     /** @name Checkpoint/restore of monitor state.
      *
      * Pending poll events are serialized by the event queue
-     * (WatchdogPoll descriptor); rehydrateEvent rebuilds their
-     * callbacks. An armed watchdog restores armed, driven by the
-     * snapshot's own pending poll event — restore does not schedule
-     * a fresh one.
+     * (WatchdogPoll descriptor). An armed watchdog restores armed,
+     * with its generation, driven by the snapshot's own pending poll
+     * event — restore does not schedule a fresh one.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
+
+    /**
+     * Act on a WatchdogPoll: poll only while armed and only if the
+     * poll was scheduled under the current arm generation (u), so a
+     * poll from before a disarm()/arm() pair stays dead, live or
+     * restored.
+     */
+    void fire(const ckpt::EventDesc &d);
 
   private:
     void scheduleNext();
@@ -123,8 +128,9 @@ class Watchdog
     net::Network &net_;
     WatchdogConfig cfg;
 
-    /** Liveness token: pending poll events hold a weak reference. */
-    std::shared_ptr<char> token;
+    bool armed_ = false;
+    /** Bumped by every arm(); a poll fires only under its own. */
+    std::uint64_t gen_ = 0;
 
     std::function<void(const std::string &)> tripFn;
     std::vector<std::function<std::string()>> probes;

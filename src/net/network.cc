@@ -7,26 +7,6 @@
 namespace gs::net
 {
 
-namespace
-{
-
-/** Build the checkpoint descriptor for a fabric-owned event. */
-ckpt::EventDesc
-netDesc(ckpt::EvKind kind, int owner, int a = 0, int b = 0, int c = 0,
-        std::uint64_t u = 0)
-{
-    ckpt::EventDesc d;
-    d.kind = kind;
-    d.owner = static_cast<std::uint16_t>(owner);
-    d.a = a;
-    d.b = b;
-    d.c = c;
-    d.u = u;
-    return d;
-}
-
-} // namespace
-
 Network::Network(SimContext &context, const topo::Topology &topo,
                  NetworkParams params)
     : ctx(context), topo_(topo), prm(params),
@@ -206,21 +186,12 @@ Network::mergeFor(int d, Tick window_start)
         const XEntry &e = mail[mbox(r.src, d)].buf[par][r.idx];
         gs_assert(e.due >= window_start,
                   "mailbox entry due before the merge window");
-        Router *rt = routers[std::size_t(e.node)].get();
-        if (e.credit) {
-            const int port = e.port, vc = e.vc, flits = e.flits;
-            q.scheduleMergedAt(
-                e.due, netDesc(ckpt::NetCredit, e.node, port, vc, flits),
-                [rt, port, vc, flits] {
-                    rt->creditReturn(port, vc, flits);
-                });
-        } else {
-            PacketHandle h = sh.pool.acquire(e.pkt);
-            const int port = e.port, vc = e.vc;
-            q.scheduleMergedAt(
-                e.due, netDesc(ckpt::NetReceive, e.node, port, vc, 0, h),
-                [rt, port, vc, h] { rt->receive(port, vc, h); });
-        }
+        const auto ev =
+            e.credit ? ckpt::makeDesc(ckpt::NetCredit, e.node, e.port,
+                                      e.vc, e.flits)
+                     : ckpt::makeDesc(ckpt::NetReceive, e.node, e.port,
+                                      e.vc, 0, sh.pool.acquire(e.pkt));
+        q.scheduleMergedAt(e.due, ev, [this, ev] { fire(ev); });
     }
     for (int s = 0; s < nDomains; ++s) {
         if (s == d)
@@ -372,21 +343,15 @@ Network::inject(Packet pkt)
         // agent-to-router-to-agent handoff.
         Tick delay = static_cast<Tick>(prm.injectionCycles +
                                        prm.ejectionCycles) * tickPeriod;
-        NodeId node = pkt.dst;
-        c.queue().schedule(delay,
-                           netDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h),
-                           [this, node, h] { deliverNow(node, h); });
+        const auto d =
+            ckpt::makeDesc(ckpt::NetDeliverLocal, pkt.dst, 0, 0, 0, h);
+        c.queue().schedule(delay, d, [this, d] { fire(d); });
         return;
     }
 
     Tick delay = static_cast<Tick>(prm.injectionCycles) * tickPeriod;
-    NodeId node = pkt.src;
-    c.queue().schedule(delay,
-                       netDesc(ckpt::NetInjStart, node, 0, 0, 0, h),
-                       [this, node, h] {
-                           routers[static_cast<std::size_t>(node)]
-                               ->inject(h);
-                       });
+    const auto d = ckpt::makeDesc(ckpt::NetInjStart, pkt.src, 0, 0, 0, h);
+    c.queue().schedule(delay, d, [this, d] { fire(d); });
 }
 
 void
@@ -399,19 +364,9 @@ Network::scheduleArrival(NodeId from, NodeId to, int in_port, int vc,
     const Tick delay = static_cast<Tick>(delay_cycles) * tickPeriod;
 
     if (sd == dd) {
-        c.queue().schedule(
-            delay, netDesc(ckpt::NetReceive, to, in_port, vc, 0, h),
-            [this, to, in_port, vc, h] {
-                // The packet was on the wire when the downstream
-                // router died: its flits arrive at a dead receiver
-                // and are lost.
-                if (degraded_ && deadNode[std::size_t(to)]) {
-                    dropPacket(to, h, "dead-receiver");
-                    return;
-                }
-                routers[static_cast<std::size_t>(to)]->receive(in_port,
-                                                               vc, h);
-            });
+        const auto d =
+            ckpt::makeDesc(ckpt::NetReceive, to, in_port, vc, 0, h);
+        c.queue().schedule(delay, d, [this, d] { fire(d); });
         return;
     }
 
@@ -455,12 +410,9 @@ Network::scheduleCredit(NodeId at_node, int in_port, int vc, int flits)
         static_cast<Tick>(prm.creditCycles) * tickPeriod;
 
     if (sd == dd) {
-        c.queue().schedule(
-            delay, netDesc(ckpt::NetCredit, peer, peerPort, vc, flits),
-            [this, peer, peerPort, vc, flits] {
-                routers[static_cast<std::size_t>(peer)]->creditReturn(
-                    peerPort, vc, flits);
-            });
+        const auto d =
+            ckpt::makeDesc(ckpt::NetCredit, peer, peerPort, vc, flits);
+        c.queue().schedule(delay, d, [this, d] { fire(d); });
         return;
     }
 
@@ -487,9 +439,8 @@ Network::deliverLocal(NodeId node, PacketHandle h)
                    : 0;
     Tick delay =
         static_cast<Tick>(prm.ejectionCycles + tail) * tickPeriod;
-    ctxOf(node).queue().schedule(
-        delay, netDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h),
-        [this, node, h] { deliverNow(node, h); });
+    const auto d = ckpt::makeDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h);
+    ctxOf(node).queue().schedule(delay, d, [this, d] { fire(d); });
 }
 
 void
@@ -652,9 +603,9 @@ Network::activate(NodeId at)
         return;
     sh.ticking = true;
     SimContext &c = *domCtx[std::size_t(d)];
-    c.queue().scheduleAt(Clock(tickPeriod).nextEdge(c.now()),
-                         netDesc(ckpt::NetTick, d),
-                         [this, d] { tickDomain(d); });
+    const auto ev = ckpt::makeDesc(ckpt::NetTick, d);
+    c.queue().scheduleAt(Clock(tickPeriod).nextEdge(c.now()), ev,
+                         [this, ev] { fire(ev); });
 }
 
 void
@@ -669,8 +620,8 @@ Network::tickDomain(int d)
         any = any || !router.idle();
     }
     if (any) {
-        c.queue().schedule(tickPeriod, netDesc(ckpt::NetTick, d),
-                           [this, d] { tickDomain(d); });
+        const auto ev = ckpt::makeDesc(ckpt::NetTick, d);
+        c.queue().schedule(tickPeriod, ev, [this, ev] { fire(ev); });
     } else {
         shards[std::size_t(d)]->ticking = false;
     }
@@ -791,48 +742,35 @@ Network::restoreCkpt(ckpt::Deserializer &d)
     widened_ = false; // recomputed by the next window's hook
 }
 
-std::function<void()>
-Network::rehydrateEvent(const ckpt::EventDesc &d)
+void
+Network::fire(const ckpt::EventDesc &d)
 {
+    const NodeId node = d.owner;
+    const auto h = static_cast<PacketHandle>(d.u);
     switch (d.kind) {
-      case ckpt::NetInjStart: {
-        const NodeId node = d.owner;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, node, h] {
-            routers[static_cast<std::size_t>(node)]->inject(h);
-        };
-      }
-      case ckpt::NetDeliverLocal: {
-        const NodeId node = d.owner;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, node, h] { deliverNow(node, h); };
-      }
-      case ckpt::NetReceive: {
-        const NodeId to = d.owner;
-        const int port = d.a, vc = d.b;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, to, port, vc, h] {
-            if (degraded_ && deadNode[std::size_t(to)]) {
-                dropPacket(to, h, "dead-receiver");
-                return;
-            }
-            routers[static_cast<std::size_t>(to)]->receive(port, vc, h);
-        };
-      }
-      case ckpt::NetCredit: {
-        const NodeId peer = d.owner;
-        const int port = d.a, vc = d.b, flits = d.c;
-        return [this, peer, port, vc, flits] {
-            routers[static_cast<std::size_t>(peer)]->creditReturn(
-                port, vc, flits);
-        };
-      }
-      case ckpt::NetTick: {
-        const int dom = d.owner;
-        return [this, dom] { tickDomain(dom); };
-      }
+      case ckpt::NetInjStart:
+        routers[std::size_t(node)]->inject(h);
+        break;
+      case ckpt::NetDeliverLocal:
+        deliverNow(node, h);
+        break;
+      case ckpt::NetReceive:
+        // The packet was on the wire when the downstream router
+        // died: its flits arrive at a dead receiver and are lost.
+        if (degraded_ && deadNode[std::size_t(node)]) {
+            dropPacket(node, h, "dead-receiver");
+            break;
+        }
+        routers[std::size_t(node)]->receive(d.a, d.b, h);
+        break;
+      case ckpt::NetCredit:
+        routers[std::size_t(node)]->creditReturn(d.a, d.b, d.c);
+        break;
+      case ckpt::NetTick:
+        tickDomain(d.owner);
+        break;
       default:
-        return {};
+        gs_panic("network fired a foreign event kind ", d.kind);
     }
 }
 

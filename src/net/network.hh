@@ -296,15 +296,20 @@ class Network
      * parities of every mailbox, per-link flit counters, fault
      * flags and every router. Restore requires the same partition
      * layout the snapshot was taken with (domain count is checked).
-     * Pending events are re-entered separately by the Machine via
-     * rehydrateEvent, which rebuilds the callback a NET-owned
-     * EventDesc describes.
+     * Pending events are re-entered separately by the Machine, which
+     * routes each NET-owned EventDesc to fire.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
+
+    /**
+     * Act on a fabric event: the one place each Net* kind is
+     * performed, whether it was scheduled live, merged from a
+     * mailbox or restored (owner = node, or domain for NetTick).
+     */
+    void fire(const ckpt::EventDesc &d);
 
     /** @name Router-internal plumbing (used by Router) */
     /// @{

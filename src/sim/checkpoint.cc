@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 
 #include "sim/logging.hh"
 
@@ -120,13 +121,14 @@ restoreCont(Deserializer &d, const RehydrateFn &rehydrate,
     c.desc = d.getDesc();
     if (!d.ok())
         return c;
-    c.fn = rehydrate(c.desc);
-    if (!c.fn) {
-        d.fail(std::string("snapshot corrupt: no rehydration recipe "
-                           "for ") +
-               what + " (event kind " + std::to_string(c.desc.kind) +
-               ")");
+    // EventFn is move-only; the held callback must copy.
+    auto fn = std::make_shared<EventFn>(rehydrate(c.desc));
+    if (!*fn) {
+        d.fail(std::string("snapshot corrupt: no owner fires ") + what +
+               " (event kind " + std::to_string(c.desc.kind) + ")");
+        return c;
     }
+    c.fn = [fn] { (*fn)(); };
     return c;
 }
 

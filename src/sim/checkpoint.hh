@@ -17,11 +17,15 @@
  *    restore code can be written straight-line and the caller checks
  *    ok() once.
  *
- *  - EventDesc: a 32-byte POD describing how to rebuild a pending
- *    event's callback after restore. It rides in the otherwise-pad
- *    bytes of the event kernel's 128-byte entry, so describing every
- *    event costs the hot path nothing. Kind 0 (Opaque) marks a
- *    callback that cannot be rebuilt; saving fails loudly if one is
+ *  - EventDesc: a 32-byte POD that is the whole description of a
+ *    pending event. Its owner acts on it in one place: a
+ *    `void fire(const EventDesc &)` with one `case` per kind it owns.
+ *    Live call sites schedule `[this, d] { fire(d); }`, and restore
+ *    routes the same descriptor to the same fire, so an event's
+ *    action is written once. The descriptor rides in the otherwise-
+ *    pad bytes of the event kernel's 128-byte entry, so describing
+ *    every event costs the hot path nothing. Kind 0 (Opaque) marks a
+ *    callback with no descriptor; saving fails loudly if one is
  *    pending.
  *
  *  - Cont: a continuation (callback + EventDesc) components hold in
@@ -29,6 +33,11 @@
  *    It is implicitly constructible from any callable — such a Cont
  *    is Opaque, which keeps non-checkpointed call sites compiling
  *    unchanged — and from (desc, callable) for serializable ones.
+ *
+ * Format history: v7 added the liveness generation of the watchdog
+ * and the telemetry sampler (their poll descriptors carry it in u)
+ * and each event queue's calendar window base; v6 and older files
+ * are refused.
  */
 
 #ifndef GS_SIM_CHECKPOINT_HH
@@ -42,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/inline_fn.hh"
 #include "sim/types.hh"
 
 namespace gs::ckpt
@@ -51,7 +61,7 @@ namespace gs::ckpt
 constexpr char magic[8] = {'G', 'S', '1', '2', 'C', 'K', 'P', 'T'};
 
 /** Snapshot format version; bump on any layout change. */
-constexpr std::uint32_t formatVersion = 6;
+constexpr std::uint32_t formatVersion = 7;
 
 /** CRC32 (IEEE 802.3, reflected) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);
@@ -81,9 +91,9 @@ constexpr std::uint32_t secCkpt = fourcc('C', 'K', 'P', 'T');
 constexpr std::uint32_t secXtra = fourcc('X', 'T', 'R', 'A');
 
 /**
- * How to rebuild a pending event's callback after restore.
+ * A pending event, described well enough to fire it.
  *
- * `kind` selects the owning component's rehydration recipe (EvKind);
+ * `kind` selects the `case` in the owning component's fire (EvKind);
  * `owner` is the component instance (node id, cpu id, network
  * domain, or registered-client id); a/b/c/u/v are kind-specific
  * operands. Exactly 32 bytes: it replaces the padding of the event
@@ -101,6 +111,16 @@ struct EventDesc
 };
 static_assert(sizeof(EventDesc) == 32, "event-entry pad layout");
 static_assert(std::is_trivially_copyable_v<EventDesc>);
+
+/** Build a descriptor (the one builder every owner uses). */
+constexpr EventDesc
+makeDesc(std::uint16_t kind, int owner, std::int32_t a = 0,
+         std::int32_t b = 0, std::int32_t c = 0, std::uint64_t u = 0,
+         std::uint64_t v = 0)
+{
+    return EventDesc{kind, static_cast<std::uint16_t>(owner), a, b, c, u,
+                     v};
+}
 
 /** Event-callback kinds (EventDesc::kind). */
 enum EvKind : std::uint16_t
@@ -134,9 +154,10 @@ enum EvKind : std::uint16_t
 
     // fault/
     FaultApply,   ///< owner = 0; a = kind, b = node, c = port, u = when
-    WatchdogPoll, ///< owner = 0
+    WatchdogPoll, ///< owner = 0; u = arm generation
 
-    // registered checkpoint clients (telemetry sampler, ...)
+    // registered checkpoint clients (telemetry sampler, ...); stays
+    // last: the dispatcher test walks kinds 1..ClientEvent
     ClientEvent, ///< owner = client id; operands are client-defined
 };
 
@@ -173,9 +194,11 @@ class Cont
     EventDesc desc;
 };
 
-/** Rebuilds the callback a serialized EventDesc describes. */
-using RehydrateFn =
-    std::function<std::function<void()>(const EventDesc &)>;
+/**
+ * Binds a restored descriptor to its owner's fire; an empty result
+ * means no owner accepts it (the snapshot is corrupt).
+ */
+using RehydrateFn = std::function<EventFn(const EventDesc &)>;
 
 class Serializer;
 class Deserializer;
@@ -189,8 +212,8 @@ class Deserializer;
 void saveCont(Serializer &s, const Cont &c, const char *what);
 
 /**
- * Read a descriptor and rebuild its callback through @p rehydrate.
- * Fails the deserializer (naming @p what) when no recipe exists.
+ * Read a descriptor and bind it through @p rehydrate. Fails the
+ * deserializer (naming @p what) when no owner accepts it.
  */
 Cont restoreCont(Deserializer &d, const RehydrateFn &rehydrate,
                  const char *what);
@@ -482,7 +505,8 @@ bool readSnapshot(const std::string &path,
  * that participates in machine snapshots. Register it with
  * sys::Machine::registerCkptClient before save or restore; its
  * pending events carry EvKind::ClientEvent descs with the returned
- * client id as owner.
+ * client id as owner. It schedules them as `[this, d] { fire(d); }`,
+ * and restore routes a saved one to the same fire.
  */
 class Client
 {
@@ -495,9 +519,8 @@ class Client
     /** Restore state written by saveCkpt; report via @p d.fail(). */
     virtual void restoreCkpt(Deserializer &d) = 0;
 
-    /** Rebuild a pending event's callback from its desc. */
-    virtual std::function<void()>
-    rehydrateEvent(const EventDesc &d) = 0;
+    /** Act on one of this client's events (live or restored). */
+    virtual void fire(const EventDesc &d) = 0;
 
     /** Set by Machine::registerCkptClient; -1 while unregistered. */
     void setCkptClientId(int id) { ckptId_ = id; }
@@ -512,13 +535,8 @@ class Client
     EventDesc
     clientDesc(std::int32_t a = 0, std::uint64_t u = 0) const
     {
-        EventDesc d;
-        d.kind = ClientEvent;
-        d.owner = static_cast<std::uint16_t>(
-            ckptId_ < 0 ? 0xffff : ckptId_);
-        d.a = a;
-        d.u = u;
-        return d;
+        return makeDesc(ClientEvent, ckptId_ < 0 ? 0xffff : ckptId_, a,
+                        0, 0, u);
     }
 
   private:

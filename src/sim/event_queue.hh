@@ -36,9 +36,6 @@
 namespace gs
 {
 
-/** Callback type executed when an event fires. */
-using EventFn = InlineFn;
-
 /**
  * A discrete-event queue with a current simulated time.
  *
@@ -333,7 +330,11 @@ class EventQueue
      * pending (when, seq, desc) triple; callbacks are rebuilt from
      * the descs at restore. Restoring re-inserts entries with their
      * original sequence numbers, so the continuation fires in
-     * exactly the order the uninterrupted run would have used.
+     * exactly the order the uninterrupted run would have used. The
+     * calendar window's base rides along: which pending events sit
+     * in the ring and which in the overflow heap is a function of
+     * it, so a restored queue reports the same eq.buckets and
+     * eq.overflow as the queue that was saved.
      */
     /// @{
 
@@ -346,12 +347,14 @@ class EventQueue
         std::uint64_t fired = 0;
         std::uint64_t peak = 0;
         std::uint64_t migrated = 0;
+        Tick base = 0; ///< calendar window start
     };
 
     CkptState
     ckptState() const
     {
-        return {curTick, nextSeq, nextMergedSeq, fired, peak, migrated};
+        return {curTick, nextSeq, nextMergedSeq, fired,
+                peak,    migrated, base};
     }
 
     /**
@@ -387,6 +390,9 @@ class EventQueue
         fired = st.fired;
         peak = static_cast<std::size_t>(st.peak);
         migrated = st.migrated;
+        base = bucketBase(st.base);
+        cur = bucketIndex(base);
+        curb = &buckets[cur];
     }
 
     /**
@@ -400,7 +406,19 @@ class EventQueue
     {
         gs_assert(when >= curTick,
                   "restored event in the past: ", when, " < ", curTick);
-        insert(when, seq, desc, std::move(fn));
+        // Place against the restored window (insert() would re-anchor
+        // it at the first event); ensureCurrent sorts the buckets.
+        if (when < base)
+            rewindTo(when);
+        if (when < base + horizon) {
+            Bucket &b = buckets[bucketIndex(when)];
+            b.entries.emplace_back(when, seq, desc, std::move(fn));
+            b.sorted = false;
+            ringCount += 1;
+        } else {
+            heap.emplace_back(when, seq, desc, std::move(fn));
+            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        }
         pendingCnt += 1;
     }
     /// @}

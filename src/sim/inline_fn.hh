@@ -179,6 +179,9 @@ class InlineFn
     MgrFn mgr_ = nullptr;
 };
 
+/** Callback type executed when an event fires. */
+using EventFn = InlineFn;
+
 } // namespace gs
 
 #endif // GS_SIM_INLINE_FN_HH

@@ -264,39 +264,44 @@ Sampler::sampleNow()
 void
 Sampler::start()
 {
-    if (token)
+    if (running_)
         return;
-    token = std::make_shared<char>(0);
+    running_ = true;
+    gen_ += 1;
     lastSample_ = ctx.now();
-    std::weak_ptr<char> alive = token;
-    ctx.queue().schedule(interval_, clientDesc(), [this, alive] {
-        if (!alive.expired())
-            tick();
-    });
+    scheduleNext();
 }
 
 void
 Sampler::stop()
 {
-    if (!token)
+    if (!running_)
         return;
     // Flush the tail: a run rarely ends on an interval edge, and
     // silently dropping the final partial window made every rate
     // series (heatmaps included) understate the end of the run.
     if (ctx.now() > lastSample_)
         sampleNow();
-    token.reset();
+    running_ = false;
 }
 
 void
-Sampler::tick()
+Sampler::scheduleNext()
 {
+    const ckpt::EventDesc d = clientDesc(0, gen_);
+    ctx.queue().schedule(interval_, d, [this, d] { fire(d); });
+}
+
+void
+Sampler::fire(const ckpt::EventDesc &d)
+{
+    // A sample event stays live only under the start() that
+    // scheduled it: after stop() (and any later start()) it is a
+    // no-op, whether it was scheduled live or restored.
+    if (!running_ || d.u != gen_)
+        return;
     sampleNow();
-    std::weak_ptr<char> alive = token;
-    ctx.queue().schedule(interval_, clientDesc(), [this, alive] {
-        if (!alive.expired())
-            tick();
-    });
+    scheduleNext();
 }
 
 void
@@ -305,7 +310,8 @@ Sampler::saveCkpt(ckpt::Serializer &s) const
     gs_assert(trace == nullptr,
               "cannot checkpoint: telemetry trace mirroring is active "
               "(--trace is incompatible with checkpointing)");
-    s.putBool(token != nullptr);
+    s.putBool(running_);
+    s.put64(gen_);
     s.put64(static_cast<std::uint64_t>(interval_));
     s.put64(static_cast<std::uint64_t>(lastSample_));
     s.put32(static_cast<std::uint32_t>(times_.size()));
@@ -324,7 +330,8 @@ Sampler::saveCkpt(ckpt::Serializer &s) const
 void
 Sampler::restoreCkpt(ckpt::Deserializer &d)
 {
-    bool wasRunning = d.getBool();
+    running_ = d.getBool();
+    gen_ = d.get64();
     if (d.get64() != static_cast<std::uint64_t>(interval_) &&
         d.ok()) {
         d.fail("snapshot sampler interval differs from this run's");
@@ -356,20 +363,6 @@ Sampler::restoreCkpt(ckpt::Deserializer &d)
         for (double &v : sr.values)
             v = d.getF64();
     }
-    if (!d.ok())
-        return;
-    token = wasRunning ? std::make_shared<char>(0) : nullptr;
-}
-
-std::function<void()>
-Sampler::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    if (d.kind != ckpt::ClientEvent)
-        return {};
-    return [this] {
-        if (token)
-            tick();
-    };
 }
 
 // ---------------------------------------------------------------------

@@ -32,7 +32,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -218,19 +217,20 @@ class Sampler : public ckpt::Client
     /// @{
     void saveCkpt(ckpt::Serializer &s) const override;
     void restoreCkpt(ckpt::Deserializer &d) override;
-    std::function<void()>
-    rehydrateEvent(const ckpt::EventDesc &d) override;
+    /** A periodic sample (u = the start() generation it runs under). */
+    void fire(const ckpt::EventDesc &d) override;
     /// @}
 
   private:
-    void tick();
+    void scheduleNext();
 
     SimContext &ctx;
     const Registry &reg;
     Tick interval_;
 
-    /** Liveness token: pending sample events hold a weak reference. */
-    std::shared_ptr<char> token;
+    bool running_ = false;
+    /** Bumped by every start(); a sample fires only under its own. */
+    std::uint64_t gen_ = 0;
 
     Tick lastSample_ = 0; ///< time of the most recent sample
 

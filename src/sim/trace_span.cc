@@ -219,11 +219,11 @@ SpanCollector::restoreCkpt(ckpt::Deserializer &d)
     snapCompleted_ = 0;
 }
 
-std::function<void()>
-SpanCollector::rehydrateEvent(const ckpt::EventDesc &d)
+void
+SpanCollector::fire(const ckpt::EventDesc &d)
 {
-    (void)d;
-    gs_fatal("span collector schedules no events");
+    gs_fatal("snapshot corrupt: event kind ", d.kind,
+             " names the span collector, which schedules no events");
 }
 
 } // namespace gs::trace

@@ -344,8 +344,12 @@ class Machine
     /** Enable watchdog-triggered rollback (arm a watchdog first). */
     void setRollbackPolicy(RollbackPolicy policy);
 
-    /** Rebuild a pending event's callback from its descriptor. */
-    std::function<void()> rehydrate(const ckpt::EventDesc &d);
+    /**
+     * Bind a restored descriptor to its owner's fire. Returns an
+     * empty EventFn when no owner accepts it: Opaque or unknown
+     * kinds, and owners, ports or VCs outside this machine.
+     */
+    EventFn rehydrate(const ckpt::EventDesc &d);
 
     std::uint64_t checkpointSaves() const { return ckptSaves_; }
     std::uint64_t checkpointRollbacks() const { return ckptRollbacks_; }

@@ -7,8 +7,8 @@
  *   META  build fingerprint (system, CPUs, seed, options, engine
  *         domain layout) — checked field-by-field at restore
  *   RNGS  every SimContext RNG (master + parallel domains)
- *   EVTQ  every event queue: clock/counters + each pending
- *         (when, seq, desc) triple, sorted by (when, seq)
+ *   EVTQ  every event queue: clock/counters/window base + each
+ *         pending (when, seq, desc) triple, sorted by (when, seq)
  *   NETW  network shards, routers, packet pools, mailboxes
  *   COHR  per-node coherence state (caches, MAF, directory, Zboxes)
  *   CPUS  per-core issue-stage state + L1
@@ -21,8 +21,8 @@
  *         the uninterrupted run's byte-for-byte
  *
  * Event callbacks are never serialized: each pending event carries a
- * 32-byte EventDesc, and Machine::rehydrate routes it to the owning
- * component's recipe at restore.
+ * 32-byte EventDesc, and Machine::rehydrate binds it to the owning
+ * component's fire — the same function the live event called.
  */
 
 #include <algorithm>
@@ -107,18 +107,32 @@ Machine::setRollbackPolicy(RollbackPolicy policy)
     retriesUsed_ = 0;
 }
 
-std::function<void()>
+EventFn
 Machine::rehydrate(const ckpt::EventDesc &d)
 {
+    // Every check here guards an index the owner's fire will use: a
+    // snapshot whose section CRC was recomputed passes every other
+    // check, and its events must not reach past the machine.
+    auto bind = [&d](auto *owner) -> EventFn {
+        if (!owner)
+            return {};
+        return [owner, d] { owner->fire(d); };
+    };
+    const topo::Topology &topo = net->topology();
+    const int owner = d.owner;
+    const auto idx = static_cast<std::size_t>(owner);
     switch (d.kind) {
-      case ckpt::Opaque:
-        return {};
       case ckpt::NetInjStart:
       case ckpt::NetDeliverLocal:
+        return owner < topo.numNodes() ? bind(net.get()) : EventFn{};
       case ckpt::NetReceive:
       case ckpt::NetCredit:
+        if (owner >= topo.numNodes() || d.a < 0 ||
+            d.a >= topo.numPorts(owner) || d.b < 0 || d.b >= net::numVcs)
+            return {};
+        return bind(net.get());
       case ckpt::NetTick:
-        return net->rehydrateEvent(d);
+        return owner < net->domains() ? bind(net.get()) : EventFn{};
       case ckpt::CohSendMsg:
       case ckpt::CohFillBatch:
       case ckpt::CohHomeReadExcl:
@@ -128,25 +142,18 @@ Machine::rehydrate(const ckpt::EventDesc &d)
       case ckpt::CohHomeApplyVictim:
       case ckpt::CohHomeApplyDowngrade:
       case ckpt::CohHomeApplyTransfer:
-        if (d.owner >= nodes.size() || !nodes[d.owner])
-            return {};
-        return nodes[d.owner]->rehydrateEvent(d);
+        return idx < nodes.size() ? bind(nodes[idx].get()) : EventFn{};
       case ckpt::CoreThink:
       case ckpt::CoreL1Hit:
       case ckpt::CoreMemDone:
-        if (d.owner >= cores.size())
-            return {};
-        return cores[d.owner]->rehydrateEvent(d);
+        return idx < cores.size() ? bind(cores[idx].get()) : EventFn{};
       case ckpt::FaultApply:
-        return injector_->rehydrateEvent(d);
+        return bind(injector_.get());
       case ckpt::WatchdogPoll:
-        return watchdog_ ? watchdog_->rehydrateEvent(d)
-                         : std::function<void()>{};
+        return bind(watchdog_.get());
       case ckpt::ClientEvent:
-        if (d.owner >= clients_.size())
-            return {};
-        return clients_[d.owner]->rehydrateEvent(d);
-      default:
+        return idx < clients_.size() ? bind(clients_[idx]) : EventFn{};
+      default: // Opaque, or a kind this build does not know
         return {};
     }
 }
@@ -208,6 +215,7 @@ Machine::save(const std::string &path, std::string *err)
         s.put64(st.fired);
         s.put64(st.peak);
         s.put64(st.migrated);
+        s.put64(static_cast<std::uint64_t>(st.base));
 
         std::vector<PendingEv> evs;
         q->visitPending([&evs](Tick when, std::uint64_t seq,
@@ -408,6 +416,7 @@ Machine::restore(const std::string &path,
         st.fired = d.get64();
         st.peak = d.get64();
         st.migrated = d.get64();
+        st.base = static_cast<Tick>(d.get64());
         if (!d.ok())
             break;
         q->restoreBegin(st);
@@ -423,11 +432,11 @@ Machine::restore(const std::string &path,
                        "the snapshot clock");
                 break;
             }
-            auto fn = rehydrate(desc);
+            EventFn fn = rehydrate(desc);
             if (!fn) {
-                d.fail("snapshot corrupt: no rehydration recipe for "
-                       "event kind " + std::to_string(desc.kind) +
-                       " (owner " + std::to_string(desc.owner) + ")");
+                d.fail("snapshot corrupt: no owner fires event kind " +
+                       std::to_string(desc.kind) + " (owner " +
+                       std::to_string(desc.owner) + ")");
                 break;
             }
             q->insertRestored(when, seq, desc, std::move(fn));

@@ -168,23 +168,28 @@ TEST(CheckpointFormat, RejectsVersionMismatch)
 
 TEST(CheckpointFormat, RejectsVersion5Snapshot)
 {
-    // v6 dropped the parallel engine's tick-chain liveness fields
-    // from each NETW shard: a v5 file must fail the version check
-    // up front rather than misparse.
-    const std::string path = tmpPath("ckpt_v5.gsckpt");
-    std::string err;
-    ASSERT_TRUE(ckpt::writeSnapshot(path, sampleSnapshot(), &err)) << err;
-    {
-        std::fstream f(path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(8);
-        const char v5[4] = {5, 0, 0, 0};
-        f.write(v5, 4);
+    // Each older layout must fail the version check up front rather
+    // than misparse: v6 dropped the parallel engine's tick-chain
+    // liveness fields from each NETW shard, and v7 added the
+    // watchdog's and the sampler's liveness generations.
+    const std::string path = tmpPath("ckpt_old.gsckpt");
+    for (char version : {5, 6}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::string err;
+        ASSERT_TRUE(ckpt::writeSnapshot(path, sampleSnapshot(), &err))
+            << err;
+        {
+            std::fstream f(path, std::ios::binary | std::ios::in |
+                                     std::ios::out);
+            f.seekp(8);
+            const char v[4] = {version, 0, 0, 0};
+            f.write(v, 4);
+        }
+        std::vector<std::uint8_t> buf;
+        std::size_t off = 0;
+        EXPECT_FALSE(ckpt::readSnapshot(path, &buf, &off, &err));
+        EXPECT_NE(err.find("format version"), std::string::npos) << err;
     }
-    std::vector<std::uint8_t> buf;
-    std::size_t off = 0;
-    EXPECT_FALSE(ckpt::readSnapshot(path, &buf, &off, &err));
-    EXPECT_NE(err.find("format version"), std::string::npos) << err;
     std::remove(path.c_str());
 }
 

@@ -3,9 +3,10 @@
  * Machine-level checkpoint/restore: the A/B determinism contract
  * (run N ticks, save, run M more == save + restore + run M, for the
  * serial and parallel engines alike, snapshots cut with packets in
- * router VCs), rejection of corrupt or mismatched snapshots with
- * actionable errors, and watchdog-driven crash recovery (rollback to
- * a snapshot, heal, complete; or exhaust the retry budget and die
+ * router VCs or with every event kind pending), rejection of corrupt
+ * or mismatched snapshots with actionable errors, one restore owner
+ * per event kind, and watchdog-driven crash recovery (rollback to a
+ * snapshot, heal, complete; or exhaust the retry budget and die
  * loudly).
  */
 
@@ -43,6 +44,7 @@ struct Rig
     std::unique_ptr<sys::Machine> m;
     std::vector<std::unique_ptr<wl::RandomRemoteReads>> gens;
     std::vector<cpu::TrafficSource *> sources;
+    std::unique_ptr<telem::Sampler> sampler; ///< set by addMonitors
 };
 
 Rig
@@ -79,11 +81,45 @@ bufferedFlits(sys::Machine &m)
     return flits;
 }
 
+/**
+ * Give @p r the event owners a plain workload run never schedules
+ * for: an armed watchdog (WatchdogPoll), a registered, started
+ * Sampler (ClientEvent) and a fault due at @p faultAt (FaultApply).
+ */
+void
+addMonitors(Rig &r, Tick faultAt)
+{
+    fault::WatchdogConfig cfg;
+    cfg.checkCycles = 200;
+    r.m->armWatchdog(cfg);
+    r.sampler = std::make_unique<telem::Sampler>(
+        r.m->ctx(), r.m->telemetry(), nsToTicks(200.0));
+    r.sampler->watch("net.delivered_packets");
+    r.sampler->watchRate("net.delivered_flits", 1.0);
+    r.m->registerCkptClient(*r.sampler);
+    r.sampler->start();
+    fault::FaultPlan plan;
+    plan.linkDown(faultAt, 0, 0);
+    r.m->faults().schedule(plan);
+}
+
+/** Pending events on the serial queue whose kind is @p kind. */
+int
+pendingOfKind(sys::Machine &m, ckpt::EvKind kind)
+{
+    int n = 0;
+    m.ctx().queue().visitPending(
+        [&n, kind](Tick, std::uint64_t, const ckpt::EventDesc &d) {
+            n += d.kind == kind ? 1 : 0;
+        });
+    return n;
+}
+
 std::string
-exportOf(const sys::Machine &m)
+exportOf(sys::Machine &m, const telem::Sampler *sampler = nullptr)
 {
     std::ostringstream os;
-    telem::exportJson(os, m.telemetry());
+    telem::exportJson(os, m.telemetry(), sampler, m.ctx().now());
     return os.str();
 }
 
@@ -96,6 +132,9 @@ struct ContractOpts
      *  last one lands at the end of the run, when the fabric has
      *  drained.) */
     bool requireBuffered = false;
+    /** Serial only: addMonitors, so every snapshot also holds a
+     *  WatchdogPoll, a ClientEvent and a FaultApply. */
+    bool monitors = false;
 };
 
 /**
@@ -120,9 +159,11 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
     // must checkpoint on the same schedule to converge).
     const std::string prefixA = tmpPrefix("ckpt_ab_a_" + tag);
     Rig a = makeRig(cpus, saveThreads, seed, reads, o.tiles);
+    if (o.monitors)
+        addMonitors(a, 3 * endTick);
     a.m->setCheckpointPolicy(every, prefixA);
     ASSERT_TRUE(a.m->run(a.sources));
-    const std::string wantExport = exportOf(*a.m);
+    const std::string wantExport = exportOf(*a.m, a.sampler.get());
     const std::uint64_t snaps = a.m->checkpointSaves();
     ASSERT_GE(snaps, 2u) << "expected multiple periodic snapshots";
 
@@ -133,6 +174,8 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
         const std::string prefixB =
             tmpPrefix("ckpt_ab_b_" + tag + "_" + std::to_string(k));
         Rig b = makeRig(cpus, restoreThreads, seed, reads, o.tiles);
+        if (o.monitors)
+            addMonitors(b, 3 * endTick);
         b.m->setCheckpointPolicy(every, prefixB);
         std::string err;
         ASSERT_TRUE(b.m->restore(snap, b.sources, &err)) << err;
@@ -140,12 +183,23 @@ checkContract(int cpus, int saveThreads, int restoreThreads,
             EXPECT_GT(bufferedFlits(*b.m), 0)
                 << "snapshot caught no packet in a router VC";
         }
+        if (o.monitors) {
+            // addMonitors scheduled its own events on b before the
+            // restore replaced the queue; these are the snapshot's.
+            EXPECT_TRUE(b.m->watchdog()->armed());
+            for (ckpt::EvKind kind :
+                 {ckpt::WatchdogPoll, ckpt::ClientEvent,
+                  ckpt::FaultApply}) {
+                EXPECT_EQ(pendingOfKind(*b.m, kind), 1)
+                    << "snapshot lacks pending event kind " << kind;
+            }
+        }
         // Bounded: a continuation that strands packets must fail
         // here, not spin to the default limit writing a snapshot
         // every `every` ticks.
         ASSERT_TRUE(b.m->run(b.sources, 2 * endTick))
             << "restored run did not finish";
-        EXPECT_EQ(exportOf(*b.m), wantExport)
+        EXPECT_EQ(exportOf(*b.m, b.sampler.get()), wantExport)
             << "restored run diverged from the uninterrupted one";
         EXPECT_EQ(b.m->checkpointRestores(), 1u);
         for (std::uint64_t n = 1; n <= b.m->checkpointSaves(); ++n)
@@ -165,6 +219,8 @@ TEST(CheckpointMachine, ContractSerialAcrossSeeds)
                       "serial_s" + std::to_string(seed),
                       {.requireBuffered = true});
     }
+    checkContract(8, 1, 1, 4, 80, "serial_monitors",
+                  {.requireBuffered = true, .monitors = true});
 }
 
 TEST(CheckpointMachine, ContractParallelAcrossSeeds)
@@ -336,6 +392,108 @@ TEST(CheckpointMachine, RestoreRejectsMismatchedBuild)
         EXPECT_NE(err.find("traffic sources"), std::string::npos)
             << err;
     }
+    std::remove(snap.c_str());
+}
+
+TEST(CheckpointMachine, RestoreRejectsOutOfRangeEventOwner)
+{
+    // A descriptor is all restore knows of an event. One that names
+    // a node, port, VC, domain or client this machine lacks would
+    // index past its owner's tables when it fires, so the dispatcher
+    // must refuse it before anything runs.
+    Rig r = makeRig(4, 1, 2, 40);
+    sys::Machine &m = *r.m;
+    const int nodes = m.network().topology().numNodes();
+    const int ports = m.network().topology().numPorts(0);
+    auto bound = [&m](ckpt::EvKind kind, int owner, int a = 0,
+                      int b = 0) {
+        return static_cast<bool>(
+            m.rehydrate(ckpt::makeDesc(kind, owner, a, b)));
+    };
+
+    for (ckpt::EvKind kind : {ckpt::NetInjStart, ckpt::NetDeliverLocal,
+                              ckpt::NetReceive, ckpt::NetCredit}) {
+        SCOPED_TRACE("kind " + std::to_string(kind));
+        EXPECT_TRUE(bound(kind, nodes - 1));
+        EXPECT_FALSE(bound(kind, nodes));
+        EXPECT_FALSE(bound(kind, 0xffff));
+    }
+    for (ckpt::EvKind kind : {ckpt::NetReceive, ckpt::NetCredit}) {
+        SCOPED_TRACE("kind " + std::to_string(kind));
+        EXPECT_TRUE(bound(kind, 0, ports - 1, net::numVcs - 1));
+        EXPECT_FALSE(bound(kind, 0, ports, 0));
+        EXPECT_FALSE(bound(kind, 0, -1, 0));
+        EXPECT_FALSE(bound(kind, 0, 0, net::numVcs));
+        EXPECT_FALSE(bound(kind, 0, 0, -1));
+    }
+    EXPECT_TRUE(bound(ckpt::NetTick, m.network().domains() - 1));
+    EXPECT_FALSE(bound(ckpt::NetTick, m.network().domains()));
+    EXPECT_FALSE(bound(ckpt::CohSendMsg, nodes));
+    EXPECT_FALSE(bound(ckpt::CoreMemDone, 4));
+    EXPECT_FALSE(bound(ckpt::WatchdogPoll, 0)) << "no watchdog armed";
+    EXPECT_FALSE(bound(ckpt::ClientEvent, 0)) << "no client registered";
+}
+
+TEST(CheckpointMachine, EveryEventKindHasOneRestoreOwner)
+{
+    // Restore reaches an event's action only through the dispatcher,
+    // so a kind it cannot route would first fail in some snapshot
+    // that happens to hold one. Walk every kind instead, on a
+    // machine that owns them all. (ClientEvent is the last kind.)
+    Rig r = makeRig(4, 1, 2, 40);
+    r.m->armWatchdog();
+    telem::Sampler sampler(r.m->ctx(), r.m->telemetry(), tickUs);
+    r.m->registerCkptClient(sampler);
+
+    for (int kind = 1; kind <= ckpt::ClientEvent; ++kind) {
+        SCOPED_TRACE("kind " + std::to_string(kind));
+        EXPECT_TRUE(r.m->rehydrate(ckpt::makeDesc(
+            static_cast<std::uint16_t>(kind), 0)));
+    }
+    EXPECT_FALSE(r.m->rehydrate(ckpt::makeDesc(ckpt::Opaque, 0)));
+    EXPECT_FALSE(r.m->rehydrate(ckpt::makeDesc(
+        static_cast<std::uint16_t>(ckpt::ClientEvent + 1), 0)));
+}
+
+TEST(CheckpointMachine, RestoredPollsObeyStopStartLikeLiveOnes)
+{
+    // A stop()/start() (disarm()/arm()) pair must leave exactly one
+    // sample (poll) chain running, whether the pending event it
+    // orphans was scheduled live or came back from a snapshot.
+    Rig probe = makeRig(8, 1, 6, 80);
+    ASSERT_TRUE(probe.m->run(probe.sources));
+    const Tick endTick = probe.m->ctx().now();
+    const std::string snap = tmpPrefix("ckpt_restart_polls.gsckpt");
+
+    auto restartAndRun = [endTick](Rig &r) {
+        r.sampler->stop();
+        r.sampler->start();
+        r.m->watchdog()->disarm();
+        r.m->watchdog()->arm();
+        r.m->runFor(endTick);
+    };
+
+    Rig a = makeRig(8, 1, 6, 80);
+    addMonitors(a, 3 * endTick);
+    ASSERT_FALSE(a.m->run(a.sources, endTick / 2)) << "not mid-run";
+    std::string err;
+    ASSERT_TRUE(a.m->save(snap, &err)) << err;
+    restartAndRun(a);
+
+    Rig b = makeRig(8, 1, 6, 80);
+    addMonitors(b, 3 * endTick);
+    ASSERT_TRUE(b.m->restore(snap, b.sources, &err)) << err;
+    restartAndRun(b);
+
+    EXPECT_EQ(b.sampler->times(), a.sampler->times());
+    ASSERT_EQ(b.sampler->series().size(), a.sampler->series().size());
+    for (std::size_t i = 0; i < a.sampler->series().size(); ++i) {
+        EXPECT_EQ(b.sampler->series()[i].values,
+                  a.sampler->series()[i].values)
+            << a.sampler->series()[i].path;
+    }
+    EXPECT_EQ(exportOf(*b.m, b.sampler.get()),
+              exportOf(*a.m, a.sampler.get()));
     std::remove(snap.c_str());
 }
 
