@@ -21,9 +21,9 @@
 #include "topology/torus.hh"
 #include "workload/gups.hh"
 
-// The frozen pre-SoA router, kept verbatim as the A/B reference
+// The frozen pre-rework router, kept verbatim as the A/B reference
 // (tests/net/router_ab_test.cc proves bit-identity; BM_RouterStorm*
-// below measures what the layout change buys).
+// below measures what the occupancy-driven hot path buys).
 #include "../tests/net/legacy_router.hh"
 
 namespace
@@ -235,7 +235,7 @@ BENCHMARK(BM_NetworkPacketDeliveryRegistered);
  * The router hot-path microbenchmark: a seeded uniform-random packet
  * storm on an 8x8 torus, injected in bursts deep enough to keep every
  * VC arbitration, credit round-trip and link serialization busy, then
- * drained. Templated over the fabric so the SoA Network, the frozen
+ * drained. Templated over the fabric so the Network, the frozen
  * legacy AoS router and the bufferless deflection backend all run the
  * exact same traffic; items/sec is packets delivered per wall second.
  */
@@ -276,11 +276,11 @@ routerStorm(benchmark::State &state, Extra &&...extra)
 }
 
 void
-BM_RouterStormSoA(benchmark::State &state)
+BM_RouterStorm(benchmark::State &state)
 {
     routerStorm<net::Network>(state, net::NetworkParams::gs1280());
 }
-BENCHMARK(BM_RouterStormSoA);
+BENCHMARK(BM_RouterStorm);
 
 void
 BM_RouterStormLegacy(benchmark::State &state)

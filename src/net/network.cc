@@ -13,16 +13,11 @@ Network::Network(SimContext &context, const topo::Topology &topo,
       tickPeriod(params.period())
 {
     const int n = topo.numNodes();
-    core_.build(topo);
     routers.reserve(static_cast<std::size_t>(n));
     handlers.resize(static_cast<std::size_t>(n));
-    linkFlits.resize(static_cast<std::size_t>(n));
     deadNode.assign(static_cast<std::size_t>(n), 0);
-    for (NodeId node = 0; node < n; ++node) {
+    for (NodeId node = 0; node < n; ++node)
         routers.push_back(std::make_unique<Router>(*this, node));
-        linkFlits[static_cast<std::size_t>(node)].assign(
-            static_cast<std::size_t>(topo.numPorts(node)), 0);
-    }
 
     // Default partition: one domain on the build context. A later
     // setPartition replaces this wholesale.
@@ -510,9 +505,6 @@ Network::clearStats()
 {
     for (auto &sh : shards)
         sh->st = NetworkStats{};
-    for (auto &ports : linkFlits)
-        for (auto &flits : ports)
-            flits = 0;
     for (auto &router : routers)
         router->clearStats(ctxOf(router->node()).now());
 }
@@ -664,9 +656,6 @@ Network::saveCkpt(ckpt::Serializer &s) const
             s.put64(mb.minDue[par]);
         }
     }
-    for (const auto &ports : linkFlits)
-        for (std::uint64_t flits : ports)
-            s.put64(flits);
     s.putBool(degraded_);
     for (char dead : deadNode)
         s.put8(static_cast<std::uint8_t>(dead));
@@ -708,7 +697,22 @@ Network::restoreCkpt(ckpt::Deserializer &d)
         sh.xCredits = d.get64();
         sh.xFlits = d.get64();
     }
-    for (Mailbox &mb : mail) {
+    // mergeFor schedules each entry's event without passing the
+    // restore dispatcher, so the entry itself must name a router of
+    // the mailbox's destination domain, one of its ports and VCs,
+    // and (for a credit) a positive return.
+    auto entryOk = [this](const XEntry &e, int dst) {
+        if (e.node < 0 || e.node >= topo_.numNodes() ||
+            domainOf(e.node) != dst)
+            return false;
+        if (e.port < 0 || e.port >= topo_.numPorts(e.node) || e.vc < 0 ||
+            e.vc >= numVcs)
+            return false;
+        return e.credit == 0 || (e.credit == 1 && e.flits > 0);
+    };
+    for (std::size_t m = 0; m < mail.size(); ++m) {
+        Mailbox &mb = mail[m];
+        const int dst = static_cast<int>(m) % nDomains;
         for (int par = 0; par < 2; ++par) {
             std::uint32_t n = d.get32();
             mb.buf[par].clear();
@@ -721,14 +725,16 @@ Network::restoreCkpt(ckpt::Deserializer &d)
                 e.flits = d.getI32();
                 e.credit = d.getI32();
                 restorePacket(d, e.pkt);
+                if (d.ok() && !entryOk(e, dst)) {
+                    d.fail("snapshot corrupt: a mailbox entry names a "
+                           "node, port, VC or credit outside its "
+                           "destination domain");
+                }
                 mb.buf[par].push_back(e);
             }
             mb.minDue[par] = d.get64();
         }
     }
-    for (auto &ports : linkFlits)
-        for (std::uint64_t &flits : ports)
-            flits = d.get64();
     degraded_ = d.getBool();
     for (char &dead : deadNode)
         dead = static_cast<char>(d.get8());

@@ -25,7 +25,6 @@
 #include "net/packet_pool.hh"
 #include "net/params.hh"
 #include "net/router.hh"
-#include "net/router_core.hh"
 #include "sim/context.hh"
 #include "sim/parallel.hh"
 #include "sim/stats.hh"
@@ -204,10 +203,6 @@ class Network
         return *routers[std::size_t(node)];
     }
 
-    /** The flat per-port/per-VC state every Router indexes into. */
-    RouterCore &routerCore() { return core_; }
-    const RouterCore &routerCore() const { return core_; }
-
     /**
      * Domain 0's packet slab — with the default single-domain
      * partition, the slab every in-flight packet lives in. Partitioned
@@ -230,7 +225,7 @@ class Network
     /** Cumulative busy flits on the link out of (node, port). */
     std::uint64_t linkBusyFlits(NodeId node, int port) const
     {
-        return linkFlits[std::size_t(node)][std::size_t(port)];
+        return router(node).sentFlits(port);
     }
 
     /** Packets currently in flight (injected, not yet delivered). */
@@ -293,9 +288,10 @@ class Network
      *
      * Serializes the fabric wholesale: every shard (pool, stats,
      * tick-chain flag, cross-traffic counters), both
-     * parities of every mailbox, per-link flit counters, fault
-     * flags and every router. Restore requires the same partition
-     * layout the snapshot was taken with (domain count is checked).
+     * parities of every mailbox, fault flags and every router.
+     * Restore requires the same partition layout the snapshot was
+     * taken with (domain count is checked) and rejects a mailbox
+     * entry that names a node, port, VC or credit outside it.
      * Pending events are re-entered separately by the Machine, which
      * routes each NET-owned EventDesc to fire.
      */
@@ -317,11 +313,6 @@ class Network
                          PacketHandle h, int delay_cycles);
     void scheduleCredit(NodeId at_node, int in_port, int vc, int flits);
     void deliverLocal(NodeId node, PacketHandle h);
-    void countLinkFlits(NodeId node, int port, int flits)
-    {
-        linkFlits[std::size_t(node)][std::size_t(port)] +=
-            static_cast<std::uint64_t>(flits);
-    }
 
     /**
      * Router @p at became busy now: make sure it is ticked at the
@@ -417,10 +408,8 @@ class Network
     NetworkParams prm;
     Tick tickPeriod;
 
-    RouterCore core_; ///< built before the routers, which index it
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<Handler> handlers;
-    std::vector<std::vector<std::uint64_t>> linkFlits;
 
     int nDomains = 1;
     std::vector<int> nodeDom;            ///< empty when nDomains == 1

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "net/packet.hh"
@@ -115,6 +116,13 @@ class PacketPool
     Packet &get(PacketHandle h) { return slots[h]; }
     const Packet &get(PacketHandle h) const { return slots[h]; }
 
+    /** True when @p h names a live (acquired, unreleased) slot. */
+    bool
+    holds(PacketHandle h) const
+    {
+        return h < slots.size() && live[h] != 0;
+    }
+
     /** Return slot @p h to the freelist. */
     void
     release(PacketHandle h)
@@ -138,7 +146,9 @@ class PacketPool
      * The pool is restored *verbatim* — slot contents, freelist order
      * and live flags — so every PacketHandle serialized elsewhere in
      * the snapshot (router queues, event descriptors) indexes the
-     * same packet after restore.
+     * same packet after restore. Restore rejects a freelist that
+     * names a slot out of range or marked live; the holders of the
+     * other handles check them against holds().
      */
     /// @{
     void
@@ -172,9 +182,15 @@ class PacketPool
         freeList.clear();
         for (std::uint32_t i = 0; i < nf && d.ok(); ++i)
             freeList.push_back(d.get32());
-        live.resize(n, 0);
+        live.resize(slots.size(), 0);
         for (std::uint32_t i = 0; i < n && d.ok(); ++i)
             live[i] = static_cast<char>(d.get8());
+        for (PacketHandle h : freeList) {
+            if (d.ok() && (h >= slots.size() || live[h] != 0))
+                d.fail("snapshot corrupt: packet-pool freelist names "
+                       "handle " + std::to_string(h) +
+                       ", which is out of range or live");
+        }
         inUse_ = d.get64();
         st.allocated = d.get64();
         st.reused = d.get64();

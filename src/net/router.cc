@@ -10,27 +10,27 @@ namespace gs::net
 {
 
 Router::Router(Network &network, NodeId node)
-    : net(network), id(node), core(&network.routerCore())
+    : net(network), id(node)
 {
     const auto &topo = net.topology();
     const auto &prm = net.params();
-    const RouterCore::NodeRef &ref = core->ref(id);
-    pb = ref.portBase;
-    sb = ref.slotBase;
-    nPorts = static_cast<int>(ref.ports);
+    nPorts = topo.numPorts(id);
     kind_ = prm.routerKind;
 
+    ports_.resize(static_cast<std::size_t>(nPorts));
+    vcs_.resize(static_cast<std::size_t>(nPorts) * numVcs);
     vcQ.resize(static_cast<std::size_t>(nPorts) * numVcs);
     occupied.assign(static_cast<std::size_t>(nPorts), 0);
 
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
-        core->connected[pidx(p)] = link.connected() ? 1 : 0;
-        if (!link.connected())
+        PortState &ps = ports_[std::size_t(p)];
+        ps.connected = link.connected();
+        if (!ps.connected)
             continue;
-        core->wireCycles[pidx(p)] = prm.wireCycles(link.kind);
+        ps.wireCycles = prm.wireCycles(link.kind);
         for (int vc = 0; vc < numVcs; ++vc)
-            core->credits[sidx(p, vc)] = vcCapacity(vc);
+            vcs_[slot(p, vc)].credits = vcCapacity(vc);
     }
 
     if (kind_ == RouterKind::Buffered) {
@@ -60,9 +60,9 @@ Router::receive(int in_port, int vc, PacketHandle h)
                   "bufferless latch overrun at node ", id, " port ",
                   in_port);
     }
-    core->flitsUsed[sidx(in_port, vc)] += pkt.flits;
-    core->recvFlits[sidx(in_port, vc)] +=
-        static_cast<std::uint64_t>(pkt.flits);
+    VcState &v = vcs_[slot(in_port, vc)];
+    v.flitsUsed += pkt.flits;
+    v.recvFlits += static_cast<std::uint64_t>(pkt.flits);
     vcQ[slot(in_port, vc)].push(h);
     occupied[static_cast<std::size_t>(in_port)] |= vcBit(vc);
     buffered += 1;
@@ -72,7 +72,7 @@ Router::receive(int in_port, int vc, PacketHandle h)
 void
 Router::creditReturn(int out_port, int vc, int flits)
 {
-    auto &credits = core->credits[sidx(out_port, vc)];
+    auto &credits = vcs_[slot(out_port, vc)].credits;
     credits += flits;
     // A credit that was on the wire across a link repair arrives on
     // top of the resynced count; clamp rather than overflow the
@@ -101,21 +101,21 @@ Router::syncPorts()
     const auto &prm = net.params();
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
-        const bool wasConnected = core->connected[pidx(p)] != 0;
-        if (wasConnected == link.connected())
+        PortState &ps = ports_[std::size_t(p)];
+        if (ps.connected == link.connected())
             continue;
-        core->connected[pidx(p)] = link.connected() ? 1 : 0;
-        if (!link.connected())
+        ps.connected = link.connected();
+        if (!ps.connected)
             continue;
         // Reconnected (repair, or the peer router came back): the
         // peer's input buffers kept their contents, so our credit
         // view restarts at capacity minus what is still buffered
         // there. busyUntil is stale by at most one transfer.
-        core->wireCycles[pidx(p)] = prm.wireCycles(link.kind);
-        core->busyUntil[pidx(p)] = 0;
+        ps.wireCycles = prm.wireCycles(link.kind);
+        ps.busyUntil = 0;
         const Router &peer = net.router(link.peer);
         for (int vc = 0; vc < numVcs; ++vc) {
-            core->credits[sidx(p, vc)] =
+            vcs_[slot(p, vc)].credits =
                 vcCapacity(vc) - peer.vcOccupancy(link.peerPort, vc);
         }
     }
@@ -154,17 +154,18 @@ Router::registerTelemetry(telem::Registry &reg,
                               &port_name)
 {
     for (int p = 0; p < nPorts; ++p) {
-        if (!core->connected[pidx(p)])
+        PortState &ps = ports_[std::size_t(p)];
+        if (!ps.connected)
             continue;
         const std::string pp =
             telem::path(prefix, "port", port_name(p));
-        reg.addCounter(pp + ".flits", core->sentFlits[pidx(p)]);
-        reg.addCounter(pp + ".packets", core->sentPackets[pidx(p)]);
+        reg.addCounter(pp + ".flits", ps.sentFlits);
+        reg.addCounter(pp + ".packets", ps.sentPackets);
         reg.addGauge(pp + ".busy_frac", [this, p] {
             Tick now = net.ctxOf(id).now();
             if (now <= statsWindowStart)
                 return 0.0;
-            double f = static_cast<double>(core->sentFlits[pidx(p)]) *
+            double f = static_cast<double>(sentFlits(p)) *
                        static_cast<double>(net.period()) /
                        static_cast<double>(now - statsWindowStart);
             return std::min(f, 1.0);
@@ -173,9 +174,9 @@ Router::registerTelemetry(telem::Registry &reg,
         // the neighbour this port points at).
         for (int vc = 0; vc < numVcs; ++vc) {
             const std::string vp = telem::path(pp, "vc", vc);
-            reg.addCounter(vp + ".flits", core->recvFlits[sidx(p, vc)]);
+            reg.addCounter(vp + ".flits", vcs_[slot(p, vc)].recvFlits);
             reg.addCounter(vp + ".stalls",
-                           core->creditStalls[sidx(p, vc)]);
+                           vcs_[slot(p, vc)].creditStalls);
         }
     }
     for (int cls = 0; cls < numClasses; ++cls) {
@@ -193,14 +194,10 @@ Router::registerTelemetry(telem::Registry &reg,
 void
 Router::clearStats(Tick now)
 {
-    for (int p = 0; p < nPorts; ++p) {
-        core->sentFlits[pidx(p)] = 0;
-        core->sentPackets[pidx(p)] = 0;
-        for (int vc = 0; vc < numVcs; ++vc) {
-            core->recvFlits[sidx(p, vc)] = 0;
-            core->creditStalls[sidx(p, vc)] = 0;
-        }
-    }
+    for (PortState &ps : ports_)
+        ps.sentFlits = ps.sentPackets = 0;
+    for (VcState &v : vcs_)
+        v.recvFlits = v.creditStalls = 0;
     injStalls.fill(0);
     deflections_ = 0;
     latchStalls_ = 0;
@@ -253,7 +250,7 @@ Router::chooseRoute(const Packet &pkt, Route &route,
         int vc = vcIndex(pkt.cls, vcAdaptive);
         int bestPort = -1, bestCredits = -1;
         for (int p : topo.adaptivePorts(id, pkt.dst, pkt.hops)) {
-            int credits = core->credits[sidx(p, vc)];
+            int credits = vcs_[slot(p, vc)].credits;
             if (credits >= pkt.flits && credits > bestCredits) {
                 bestCredits = credits;
                 bestPort = p;
@@ -277,7 +274,7 @@ Router::chooseRoute(const Packet &pkt, Route &route,
         return false;
     }
     int vc = vcIndex(pkt.cls, esc.vc == 0 ? vcEscape0 : vcEscape1);
-    if (core->credits[sidx(esc.port, vc)] >= pkt.flits) {
+    if (vcs_[slot(esc.port, vc)].credits >= pkt.flits) {
         route = Route{esc.port, vc};
         return true;
     }
@@ -295,7 +292,7 @@ Router::popHead(int in_port, int vc)
         occupied[static_cast<std::size_t>(in_port)] &=
             static_cast<VcMask>(~vcBit(vc));
     int flits = net.poolOf(id).get(h).flits;
-    core->flitsUsed[sidx(in_port, vc)] -= flits;
+    vcs_[slot(in_port, vc)].flitsUsed -= flits;
     buffered -= 1;
     // Freed buffer space becomes a credit at our upstream neighbour:
     // flits under buffered flow control, one latch slot under
@@ -346,7 +343,7 @@ Router::nominate(Tick now)
         const unsigned occ = occupied[static_cast<std::size_t>(p)];
         if (occ == 0)
             continue;
-        const int rr = core->rrVc[pidx(p)];
+        const int rr = ports_[std::size_t(p)].rrVc;
         const unsigned rot =
             ((occ >> rr) | (occ << (numVcs - rr))) & allVcs;
         for (unsigned m = rot; m != 0; m &= m - 1) {
@@ -362,7 +359,7 @@ Router::nominate(Tick now)
                     break;
                 }
                 if (!unroutable) {
-                    core->creditStalls[sidx(p, vc)] += 1;
+                    vcs_[slot(p, vc)].creditStalls += 1;
                     break;
                 }
                 PacketHandle h = popHead(p, vc);
@@ -370,10 +367,10 @@ Router::nominate(Tick now)
             }
             if (!nominated)
                 continue;
-            if (core->busyUntil[pidx(route.outPort)] > now)
+            if (ports_[std::size_t(route.outPort)].busyUntil > now)
                 continue;
             noms.push_back(Nominee{p, vc, route});
-            core->rrVc[pidx(p)] = (vc + 1) % numVcs;
+            ports_[std::size_t(p)].rrVc = (vc + 1) % numVcs;
             break;
         }
     }
@@ -400,7 +397,7 @@ Router::nominate(Tick now)
         }
         if (!nominated)
             continue;
-        if (core->busyUntil[pidx(route.outPort)] > now)
+        if (ports_[std::size_t(route.outPort)].busyUntil > now)
             continue;
         noms.push_back(Nominee{-1, cls, route});
         injRrClass = (cls + 1) % numClasses;
@@ -417,7 +414,8 @@ Router::grant(Tick now)
     const int srcSlots = nPorts + 1;
 
     for (int o = 0; o < nPorts; ++o) {
-        if (!core->connected[pidx(o)] || core->busyUntil[pidx(o)] > now)
+        PortState &out = ports_[std::size_t(o)];
+        if (!out.connected || out.busyUntil > now)
             continue;
 
         // Global arbiter: round-robin over nominating sources
@@ -428,8 +426,7 @@ Router::grant(Tick now)
             if (nom.route.outPort != o)
                 continue;
             int src = nom.inPort < 0 ? srcSlots - 1 : nom.inPort;
-            int rank =
-                (src - core->rrSrc[pidx(o)] + srcSlots) % srcSlots;
+            int rank = (src - out.rrSrc + srcSlots) % srcSlots;
             if (rank < bestRank) {
                 bestRank = rank;
                 winner = &nom;
@@ -456,19 +453,16 @@ Router::grant(Tick now)
             pkt.span.advance(now, trace::Link);
 
         int vc = winner->route.outVc;
-        core->credits[sidx(o, vc)] -= pkt.flits;
-        gs_assert(core->credits[sidx(o, vc)] >= 0,
-                  "credit underflow at node ", id, " port ", o);
-        core->busyUntil[pidx(o)] =
-            now + static_cast<Tick>(pkt.flits) * net.period();
-        core->sentFlits[pidx(o)] +=
-            static_cast<std::uint64_t>(pkt.flits);
-        core->sentPackets[pidx(o)] += 1;
-        core->rrSrc[pidx(o)] =
+        int &credits = vcs_[slot(o, vc)].credits;
+        credits -= pkt.flits;
+        gs_assert(credits >= 0, "credit underflow at node ", id,
+                  " port ", o);
+        out.busyUntil = now + static_cast<Tick>(pkt.flits) * net.period();
+        out.sentFlits += static_cast<std::uint64_t>(pkt.flits);
+        out.sentPackets += 1;
+        out.rrSrc =
             ((winner->inPort < 0 ? srcSlots - 1 : winner->inPort) + 1) %
             srcSlots;
-
-        net.countLinkFlits(id, o, pkt.flits);
 
         topo::Port link = topo.port(id, o);
         // Cut-through: the header is routable downstream after the
@@ -476,7 +470,7 @@ Router::grant(Tick now)
         // it at link rate (the link stays busy for the full length,
         // and ejection waits for the tail). Store-and-forward (the
         // ablation) waits for the whole packet at every hop.
-        int delay = prm.pipelineCycles + core->wireCycles[pidx(o)] +
+        int delay = prm.pipelineCycles + out.wireCycles +
                     (prm.cutThrough ? std::min(pkt.flits, headerFlits)
                                     : pkt.flits);
         net.scheduleArrival(id, link.peer, link.peerPort, vc, h, delay);
@@ -486,18 +480,18 @@ Router::grant(Tick now)
 bool
 Router::portFree(int port, Tick now) const
 {
-    return core->connected[pidx(port)] != 0 &&
-           core->busyUntil[pidx(port)] <= now &&
-           core->credits[sidx(port, 0)] >= 1;
+    const PortState &ps = ports_[std::size_t(port)];
+    return ps.connected && ps.busyUntil <= now &&
+           vcs_[slot(port, 0)].credits >= 1;
 }
 
 bool
 Router::creditBlocked(Tick now) const
 {
     for (int p = 0; p < nPorts; ++p) {
-        if (core->connected[pidx(p)] != 0 &&
-            core->busyUntil[pidx(p)] <= now &&
-            core->credits[sidx(p, 0)] == 0)
+        const PortState &ps = ports_[std::size_t(p)];
+        if (ps.connected && ps.busyUntil <= now &&
+            vcs_[slot(p, 0)].credits == 0)
             return true;
     }
     return false;
@@ -545,20 +539,17 @@ Router::sendBufferless(PacketHandle h, int out_port, Tick now)
     if (pkt.span.id != 0 && pkt.span.phase == 0)
         pkt.span.advance(now, trace::Link);
 
-    auto &credit = core->credits[sidx(out_port, 0)];
+    auto &credit = vcs_[slot(out_port, 0)].credits;
     credit -= 1;
     gs_assert(credit >= 0, "latch credit underflow at node ", id,
               " port ", out_port);
-    core->busyUntil[pidx(out_port)] =
-        now + static_cast<Tick>(pkt.flits) * net.period();
-    core->sentFlits[pidx(out_port)] +=
-        static_cast<std::uint64_t>(pkt.flits);
-    core->sentPackets[pidx(out_port)] += 1;
-
-    net.countLinkFlits(id, out_port, pkt.flits);
+    PortState &out = ports_[std::size_t(out_port)];
+    out.busyUntil = now + static_cast<Tick>(pkt.flits) * net.period();
+    out.sentFlits += static_cast<std::uint64_t>(pkt.flits);
+    out.sentPackets += 1;
 
     topo::Port link = topo.port(id, out_port);
-    int delay = prm.pipelineCycles + core->wireCycles[pidx(out_port)] +
+    int delay = prm.pipelineCycles + out.wireCycles +
                 (prm.cutThrough ? std::min(pkt.flits, headerFlits)
                                 : pkt.flits);
     net.scheduleArrival(id, link.peer, link.peerPort, 0, h, delay);
@@ -616,9 +607,9 @@ Router::tickBufferless(Tick now)
         // productive port instead of deflecting again; this caps
         // per-packet deflections and breaks deterministic
         // deflection orbits (file header).
-        int out = pickBufferlessPort(
-            pkt, pkt.deflections < kDeflectionEscalation, now,
-            deflected);
+        const bool mayDeflect =
+            pkt.deflections < static_cast<int>(kDeflectionEscalation);
+        int out = pickBufferlessPort(pkt, mayDeflect, now, deflected);
         if (out < 0) {
             if (lr.side)
                 continue; // already out of the way; wait in place
@@ -708,26 +699,25 @@ Router::saveCkpt(ckpt::Serializer &s) const
     s.put32(static_cast<std::uint32_t>(vcQ.size()));
     for (const HandleQueue &q : vcQ)
         q.saveCkpt(s);
-    for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
-            s.putI32(core->flitsUsed[sidx(p, vc)]);
-            s.put64(core->recvFlits[sidx(p, vc)]);
-            s.put64(core->creditStalls[sidx(p, vc)]);
-        }
+    for (const VcState &v : vcs_) {
+        s.putI32(v.flitsUsed);
+        s.put64(v.recvFlits);
+        s.put64(v.creditStalls);
     }
     s.put32(static_cast<std::uint32_t>(nPorts));
-    for (int p = 0; p < nPorts; ++p)
-        s.putI32(core->rrVc[pidx(p)]);
+    for (const PortState &ps : ports_)
+        s.putI32(ps.rrVc);
     s.put32(static_cast<std::uint32_t>(nPorts));
     for (int p = 0; p < nPorts; ++p) {
-        s.putBool(core->connected[pidx(p)] != 0);
+        const PortState &ps = ports_[std::size_t(p)];
+        s.putBool(ps.connected);
         for (int vc = 0; vc < numVcs; ++vc)
-            s.putI32(core->credits[sidx(p, vc)]);
-        s.put64(core->busyUntil[pidx(p)]);
-        s.putI32(core->wireCycles[pidx(p)]);
-        s.putI32(core->rrSrc[pidx(p)]);
-        s.put64(core->sentFlits[pidx(p)]);
-        s.put64(core->sentPackets[pidx(p)]);
+            s.putI32(vcs_[slot(p, vc)].credits);
+        s.put64(ps.busyUntil);
+        s.putI32(ps.wireCycles);
+        s.putI32(ps.rrSrc);
+        s.put64(ps.sentFlits);
+        s.put64(ps.sentPackets);
     }
     for (const HandleQueue &q : injQs)
         q.saveCkpt(s);
@@ -762,32 +752,31 @@ Router::restoreCkpt(ckpt::Deserializer &d)
                 occ |= vcBit(vc);
         occupied[static_cast<std::size_t>(p)] = occ;
     }
-    for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
-            core->flitsUsed[sidx(p, vc)] = d.getI32();
-            core->recvFlits[sidx(p, vc)] = d.get64();
-            core->creditStalls[sidx(p, vc)] = d.get64();
-        }
+    for (VcState &v : vcs_) {
+        v.flitsUsed = d.getI32();
+        v.recvFlits = d.get64();
+        v.creditStalls = d.get64();
     }
     if (d.get32() != static_cast<std::uint32_t>(nPorts) && d.ok()) {
         d.fail("router port count mismatch");
         return;
     }
-    for (int p = 0; p < nPorts; ++p)
-        core->rrVc[pidx(p)] = d.getI32();
+    for (PortState &ps : ports_)
+        ps.rrVc = d.getI32();
     if (d.get32() != static_cast<std::uint32_t>(nPorts) && d.ok()) {
         d.fail("router output count mismatch");
         return;
     }
     for (int p = 0; p < nPorts; ++p) {
-        core->connected[pidx(p)] = d.getBool() ? 1 : 0;
+        PortState &ps = ports_[std::size_t(p)];
+        ps.connected = d.getBool();
         for (int vc = 0; vc < numVcs; ++vc)
-            core->credits[sidx(p, vc)] = d.getI32();
-        core->busyUntil[pidx(p)] = d.get64();
-        core->wireCycles[pidx(p)] = d.getI32();
-        core->rrSrc[pidx(p)] = d.getI32();
-        core->sentFlits[pidx(p)] = d.get64();
-        core->sentPackets[pidx(p)] = d.get64();
+            vcs_[slot(p, vc)].credits = d.getI32();
+        ps.busyUntil = d.get64();
+        ps.wireCycles = d.getI32();
+        ps.rrSrc = d.getI32();
+        ps.sentFlits = d.get64();
+        ps.sentPackets = d.get64();
     }
     for (HandleQueue &q : injQs)
         q.restoreCkpt(d);
@@ -804,6 +793,24 @@ Router::restoreCkpt(ckpt::Deserializer &d)
     const std::uint32_t nSide = d.get32();
     for (std::uint32_t i = 0; i < nSide && d.ok(); ++i)
         sideQ_.push_back(d.get32());
+
+    // Every queued handle must name a live packet of this router's
+    // pool; anything else would index past it or alias a free slot.
+    const PacketPool &pool = net.poolOf(id);
+    auto held = [&pool](const auto &q) {
+        return std::all_of(q.begin(), q.end(), [&pool](PacketHandle h) {
+            return pool.holds(h);
+        });
+    };
+    bool ok = held(sideQ_);
+    for (const HandleQueue &q : vcQ)
+        ok = ok && held(q);
+    for (const HandleQueue &q : injQs)
+        ok = ok && held(q);
+    if (d.ok() && !ok) {
+        d.fail("snapshot corrupt: router " + std::to_string(id) +
+               " queues a packet handle its pool does not hold");
+    }
 }
 
 } // namespace gs::net

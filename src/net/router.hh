@@ -62,12 +62,10 @@
  * is capped at the escalation threshold.
  *
  * Data layout: packets live in the Network's PacketPool for their
- * whole flight; the router buffers 4-byte handles, and every
- * per-port / per-VC scalar (credits, occupancy, busy horizons, RR
- * pointers, telemetry counters) lives in the Network-wide RouterCore
- * structure-of-arrays (router_core.hh) — this object holds only its
- * base offsets into those flat arrays, its handle queues, and the
- * arbitration logic.
+ * whole flight; the router buffers 4-byte handles. Everything else
+ * a router knows — credits, occupancy, busy horizons, RR pointers,
+ * telemetry counters — it owns: one PortState per port and one
+ * VcState per (port, VC) slot.
  *
  * Hot path: each input port keeps a bitmask of its non-empty VCs,
  * and the eject and nominate passes walk only its set bits, in the
@@ -87,7 +85,6 @@
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
 #include "net/params.hh"
-#include "net/router_core.hh"
 #include "sim/telemetry.hh"
 #include "sim/types.hh"
 
@@ -127,7 +124,7 @@ class Router
     /** Occupancy (flits) of input VC @p vc on port @p in_port. */
     int vcOccupancy(int in_port, int vc) const
     {
-        return core->flitsUsed[sidx(in_port, vc)];
+        return vcs_[slot(in_port, vc)].flitsUsed;
     }
 
     /** Pending packets in the injection queue of class @p cls. */
@@ -142,7 +139,13 @@ class Router
      */
     int creditsAvailable(int out_port, int vc) const
     {
-        return core->credits[sidx(out_port, vc)];
+        return vcs_[slot(out_port, vc)].credits;
+    }
+
+    /** Flits sent on the link out of @p port since the last clear. */
+    std::uint64_t sentFlits(int port) const
+    {
+        return ports_[static_cast<std::size_t>(port)].sentFlits;
     }
 
     /** @name Bufferless deflection accounting (RouterKind::Bufferless) */
@@ -208,9 +211,9 @@ class Router
     /** @name Checkpoint/restore.
      *
      * Serializes every queue of handles plus all per-VC/per-output
-     * scalars (read from / written into this router's RouterCore
-     * slice). Handles stay valid because the owning PacketPool is
-     * restored verbatim first.
+     * scalars. Handles stay valid because the owning PacketPool is
+     * restored verbatim first; restore rejects a queued handle that
+     * pool does not hold.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
@@ -223,6 +226,27 @@ class Router
     {
         int outPort = -1;
         int outVc = -1;
+    };
+
+    /** One port: its output link and its input-side RR pointer. */
+    struct PortState
+    {
+        Tick busyUntil = 0; ///< output link busy horizon
+        std::int32_t wireCycles = 0;
+        bool connected = false;
+        std::int32_t rrSrc = 0; ///< global-arbiter RR pointer
+        std::int32_t rrVc = 0;  ///< local-arbiter RR pointer
+        std::uint64_t sentFlits = 0;   ///< telemetry
+        std::uint64_t sentPackets = 0; ///< telemetry
+    };
+
+    /** One (port, VC) slot: output credits and input occupancy. */
+    struct VcState
+    {
+        std::int32_t credits = 0;   ///< for the output direction
+        std::int32_t flitsUsed = 0; ///< input-buffer occupancy
+        std::uint64_t recvFlits = 0;    ///< telemetry
+        std::uint64_t creditStalls = 0; ///< telemetry
     };
 
     /** A local-arbiter nomination. */
@@ -260,28 +284,13 @@ class Router
         return static_cast<VcMask>(1u << vc);
     }
 
-    /** Local queue index of (in_port, vc). */
+    /** Index of (port, vc) into vcs_ and vcQ. */
     std::size_t
     slot(int in_port, int vc) const
     {
         return static_cast<std::size_t>(in_port) *
                    static_cast<std::size_t>(numVcs) +
                static_cast<std::size_t>(vc);
-    }
-
-    /** RouterCore per-port index of @p port. */
-    std::size_t
-    pidx(int port) const
-    {
-        return static_cast<std::size_t>(pb) +
-               static_cast<std::size_t>(port);
-    }
-
-    /** RouterCore per-(port, VC) index of (port, vc). */
-    std::size_t
-    sidx(int port, int vc) const
-    {
-        return static_cast<std::size_t>(sb) + slot(port, vc);
     }
 
     /**
@@ -341,12 +350,12 @@ class Router
 
     Network &net;
     NodeId id;
-    RouterCore *core;  ///< the owning Network's flat state
-    std::uint32_t pb = 0; ///< per-port base (core->ref(id).portBase)
-    std::uint32_t sb = 0; ///< per-slot base (core->ref(id).slotBase)
     int nPorts = 0;
     RouterKind kind_ = RouterKind::Buffered;
 
+    /** Sized once at construction (telemetry holds references). */
+    std::vector<PortState> ports_;
+    std::vector<VcState> vcs_;    ///< slot()-indexed
     std::vector<HandleQueue> vcQ; ///< buffered packets, slot()-indexed
     /**
      * Per input port, the VCs whose queue in vcQ is non-empty:

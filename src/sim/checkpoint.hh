@@ -34,10 +34,11 @@
  *    is Opaque, which keeps non-checkpointed call sites compiling
  *    unchanged — and from (desc, callable) for serializable ones.
  *
- * Format history: v7 added the liveness generation of the watchdog
- * and the telemetry sampler (their poll descriptors carry it in u)
- * and each event queue's calendar window base; v6 and older files
- * are refused.
+ * Format history: v8 dropped the per-link flit counters from NETW
+ * (each router's own sent-flit counters carry them); v7 added the
+ * liveness generation of the watchdog and the telemetry sampler
+ * (their poll descriptors carry it in u) and each event queue's
+ * calendar window base; v7 and older files are refused.
  */
 
 #ifndef GS_SIM_CHECKPOINT_HH
@@ -61,7 +62,7 @@ namespace gs::ckpt
 constexpr char magic[8] = {'G', 'S', '1', '2', 'C', 'K', 'P', 'T'};
 
 /** Snapshot format version; bump on any layout change. */
-constexpr std::uint32_t formatVersion = 7;
+constexpr std::uint32_t formatVersion = 8;
 
 /** CRC32 (IEEE 802.3, reflected) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

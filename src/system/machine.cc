@@ -472,42 +472,34 @@ Machine::registerTelemetry()
     // near zero. Parallel machines sum the per-domain queues
     // (peak_pending sums per-domain peaks, an upper bound on the
     // instantaneous machine-wide peak).
-    if (par_) {
-        ParallelEngine *pe = par_.get();
-        auto sumQ = [pe](auto probe) {
-            double n = 0;
-            for (int d = 0; d < pe->domains(); ++d)
-                n += static_cast<double>(probe(pe->domainCtx(d).queue()));
-            return n;
-        };
-        telemetry_.addGauge("eq.fired", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.firedCount();
-            });
-        });
-        telemetry_.addGauge("eq.pending", [sumQ] {
-            return sumQ([](const EventQueue &q) { return q.pending(); });
-        });
-        telemetry_.addGauge("eq.peak_pending", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.peakPending();
-            });
-        });
-        telemetry_.addGauge("eq.buckets", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.ringPending();
-            });
-        });
-        telemetry_.addGauge("eq.overflow", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.overflowPending();
-            });
-        });
+    auto sumQ = [qs = ckptQueues()](auto probe) {
+        double n = 0;
+        for (const EventQueue *q : qs)
+            n += static_cast<double>(probe(*q));
+        return n;
+    };
+    telemetry_.addGauge("eq.fired", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.firedCount(); });
+    });
+    telemetry_.addGauge("eq.pending", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.pending(); });
+    });
+    telemetry_.addGauge("eq.peak_pending", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.peakPending(); });
+    });
+    telemetry_.addGauge("eq.buckets", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.ringPending(); });
+    });
+    telemetry_.addGauge("eq.overflow", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.overflowPending(); });
+    });
 
+    if (par_) {
         // Parallel-engine self-metrics. Everything here is a pure
         // function of simulation state — identical at any thread
         // count — except barrier_wait_frac, which is wall-clock
         // derived (see docs/PARALLEL.md).
+        ParallelEngine *pe = par_.get();
         net::Network *netp = net.get();
         telemetry_.addGauge("par.domains", [pe] {
             return static_cast<double>(pe->domains());
@@ -546,23 +538,6 @@ Machine::registerTelemetry()
         });
         telemetry_.addGauge("par.mailbox.flits", [netp] {
             return static_cast<double>(netp->crossFlitsPosted());
-        });
-    } else {
-        SimContext *ctxp = context.get();
-        telemetry_.addGauge("eq.fired", [ctxp] {
-            return static_cast<double>(ctxp->queue().firedCount());
-        });
-        telemetry_.addGauge("eq.pending", [ctxp] {
-            return static_cast<double>(ctxp->queue().pending());
-        });
-        telemetry_.addGauge("eq.peak_pending", [ctxp] {
-            return static_cast<double>(ctxp->queue().peakPending());
-        });
-        telemetry_.addGauge("eq.buckets", [ctxp] {
-            return static_cast<double>(ctxp->queue().ringPending());
-        });
-        telemetry_.addGauge("eq.overflow", [ctxp] {
-            return static_cast<double>(ctxp->queue().overflowPending());
         });
     }
 

@@ -455,6 +455,25 @@ Machine::restore(const std::string &path,
     if (!d.ok())
         return fail(d.error());
     d.leaveSection("NETW");
+    // The pools are back, so the packet handles the pending fabric
+    // events carry can be checked now: each must name a live packet
+    // of its owner's pool.
+    for (EventQueue *q : qs) {
+        q->visitPending([this, &d](Tick, std::uint64_t,
+                                   const ckpt::EventDesc &e) {
+            if (e.kind != ckpt::NetInjStart &&
+                e.kind != ckpt::NetDeliverLocal &&
+                e.kind != ckpt::NetReceive)
+                return;
+            const auto h = static_cast<net::PacketHandle>(e.u);
+            if (d.ok() && (h != e.u || !net->poolOf(e.owner).holds(h)))
+                d.fail("snapshot corrupt: a pending event carries "
+                       "packet handle " + std::to_string(e.u) +
+                       ", which its node's pool does not hold");
+        });
+    }
+    if (!d.ok())
+        return fail(d.error());
 
     // COHR ------------------------------------------------------------
     if (!d.enterSection(ckpt::secCoh, "COHR"))

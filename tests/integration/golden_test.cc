@@ -262,7 +262,7 @@ TEST(Golden, FixedSeedSimulation)
 // Router-backend ablation (bench/ablate_router.cpp in miniature):
 // the same fixed-seed load test on both router backends. Pins the
 // buffered numbers (which must not move under router refactors —
-// the SoA rework shipped against this file) and the bufferless
+// the router reworks shipped against this file) and the bufferless
 // deflection behaviour (misroute counts, the escalation cap).
 // ---------------------------------------------------------------
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * A/B equivalence: the SoA-core buffered router (net::Router over
- * net::RouterCore) against the frozen pre-refactor implementation
- * (tests/net/legacy_router.hh).
+ * A/B equivalence: the buffered router (net::Router) against the
+ * frozen pre-rework implementation (tests/net/legacy_router.hh).
  *
- * The refactor's contract is bit-identity: moving every per-port /
- * per-VC scalar into the Network-wide flat arrays must not change a
- * single arbitration decision, delivery tick or telemetry counter.
- * These tests replay identical randomized inject programs — source,
+ * The contract is bit-identity: the occupancy-mask hot path, the
+ * handle queues and the router's PortState/VcState layout must not
+ * change a single arbitration decision, delivery tick or telemetry
+ * counter. These tests replay identical randomized inject programs — source,
  * destination, class, length and injection tick all drawn from one
  * seeded Rng — on both fabrics across several torus shapes, and
  * assert the full delivery traces and every observable counter match
@@ -168,8 +167,8 @@ TEST_P(RouterAB, IdenticalDeliveryTraceAndCounters)
               b.stats().hopsPerPacket.mean());
 
     // ...and the same per-router telemetry, link by link and VC by
-    // VC (the counters live in the SoA core on side A and in the
-    // per-object structs on side B).
+    // VC (side A reads the link counter through the router's own
+    // sent-flit counter, side B keeps a separate per-link array).
     for (NodeId node = 0; node < n; ++node) {
         const Router &ra = a.router(node);
         legacy::LegacyRouter &rb = b.router(node);

@@ -180,7 +180,7 @@ TEST(Router, VcOccupancyVisible)
 // The introspection the tests above rely on — occupancy, queue
 // depths, credit counts, deflection accounting — is deliberately
 // public Router API (tests/net/router_ab_test.cc leans on the same
-// surface to prove the SoA refactor bit-identical). The two tests
+// surface to prove the router rework bit-identical). The two tests
 // below pin its contracts.
 
 TEST(Router, CreditsConservedAcrossTraffic)

@@ -170,10 +170,11 @@ TEST(CheckpointFormat, RejectsVersion5Snapshot)
 {
     // Each older layout must fail the version check up front rather
     // than misparse: v6 dropped the parallel engine's tick-chain
-    // liveness fields from each NETW shard, and v7 added the
-    // watchdog's and the sampler's liveness generations.
+    // liveness fields from each NETW shard, v7 added the watchdog's
+    // and the sampler's liveness generations, and v8 dropped the
+    // per-link flit counters from NETW.
     const std::string path = tmpPath("ckpt_old.gsckpt");
-    for (char version : {5, 6}) {
+    for (char version : {5, 6, 7}) {
         SCOPED_TRACE("version " + std::to_string(version));
         std::string err;
         ASSERT_TRUE(ckpt::writeSnapshot(path, sampleSnapshot(), &err))

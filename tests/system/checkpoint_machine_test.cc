@@ -15,13 +15,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/injector.hh"
+#include "net/packet_pool.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
 #include "sim/telemetry.hh"
 #include "system/machine.hh"
 #include "workload/load_test.hh"
@@ -121,6 +125,167 @@ exportOf(sys::Machine &m, const telem::Sampler *sampler = nullptr)
     std::ostringstream os;
     telem::exportJson(os, m.telemetry(), sampler, m.ctx().now());
     return os.str();
+}
+
+/**
+ * A snapshot file as bytes, for tests that corrupt one field and
+ * reseal its section (recompute the CRC), so that only the restore
+ * code's own checks can catch the damage.
+ */
+struct SnapshotBytes
+{
+    std::vector<std::uint8_t> bytes;
+
+    explicit SnapshotBytes(const std::string &path)
+    {
+        std::ifstream f(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+    }
+
+    void
+    write(const std::string &path) const
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(reinterpret_cast<const char *>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+
+    std::uint64_t
+    le(std::size_t at, int len) const
+    {
+        std::uint64_t v = 0;
+        for (int i = len - 1; i >= 0; --i)
+            v = (v << 8) | bytes[at + std::size_t(i)];
+        return v;
+    }
+
+    void
+    put(std::size_t at, std::uint64_t v, int len)
+    {
+        for (int i = 0; i < len; ++i)
+            bytes[at + std::size_t(i)] =
+                static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** Offset of section @p tag's frame (tag, CRC, length). */
+    std::size_t
+    frame(std::uint32_t tag) const
+    {
+        std::size_t at = 16; // magic + version + reserved
+        while (le(at, 4) != tag)
+            at += 16 + static_cast<std::size_t>(le(at + 8, 8));
+        return at;
+    }
+
+    /** A reader positioned at the start of section @p tag. */
+    ckpt::Deserializer
+    open(std::uint32_t tag) const
+    {
+        const std::size_t f = frame(tag);
+        ckpt::Deserializer d(bytes.data() + f, bytes.size() - f);
+        d.enterSection(tag, "section");
+        return d;
+    }
+
+    /** File offset of @p d's next read (@p d from open(@p tag)). */
+    std::size_t
+    at(std::uint32_t tag, const ckpt::Deserializer &d) const
+    {
+        const std::size_t f = frame(tag);
+        return f + 16 + static_cast<std::size_t>(le(f + 8, 8)) -
+               d.sectionRemaining();
+    }
+
+    /** Recompute section @p tag's CRC after a patch. */
+    void
+    reseal(std::uint32_t tag)
+    {
+        const std::size_t f = frame(tag);
+        const auto len = static_cast<std::size_t>(le(f + 8, 8));
+        put(f + 4, ckpt::crc32(bytes.data() + f + 16, len), 4);
+    }
+};
+
+/** Skip one NETW shard, returning its pool's slot count and its
+ *  freelist's file offsets. */
+std::uint32_t
+skipShard(const SnapshotBytes &snap, ckpt::Deserializer &d,
+          std::vector<std::size_t> *freeAt = nullptr)
+{
+    const std::uint32_t slots = d.get32();
+    for (std::uint32_t i = 0; i < slots && d.ok(); ++i) {
+        net::Packet pkt;
+        net::restorePacket(d, pkt);
+    }
+    const std::uint32_t nFree = d.get32();
+    for (std::uint32_t i = 0; i < nFree && d.ok(); ++i) {
+        if (freeAt)
+            freeAt->push_back(snap.at(ckpt::secNet, d));
+        d.get32();
+    }
+    for (std::uint32_t i = 0; i < slots && d.ok(); ++i)
+        d.get8();
+    for (int i = 0; i < 4 + 5; ++i) // pool counters, traffic counters
+        d.get64();
+    stats::Average avg;
+    avg.restoreCkpt(d);
+    avg.restoreCkpt(d);
+    d.getI32();
+    d.getBool();
+    for (int i = 0; i < 4; ++i)
+        d.get64();
+    return slots;
+}
+
+/** Skip one router's NETW record, noting where its queued handles
+ *  (VC and injection queues) sit in the file. */
+void
+skipRouter(const SnapshotBytes &snap, ckpt::Deserializer &d,
+           std::vector<std::size_t> &queuedAt)
+{
+    auto skipQueue = [&] {
+        const std::uint32_t n = d.get32();
+        for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
+            queuedAt.push_back(snap.at(ckpt::secNet, d));
+            d.get32();
+        }
+    };
+    const std::uint32_t queues = d.get32();
+    for (std::uint32_t q = 0; q < queues && d.ok(); ++q)
+        skipQueue();
+    for (std::uint32_t q = 0; q < queues && d.ok(); ++q) { // VC state
+        d.getI32();
+        d.get64();
+        d.get64();
+    }
+    const std::uint32_t ports = d.get32();
+    for (std::uint32_t p = 0; p < ports && d.ok(); ++p)
+        d.getI32(); // rrVc
+    d.get32();
+    for (std::uint32_t p = 0; p < ports && d.ok(); ++p) {
+        d.getBool();
+        for (int vc = 0; vc < net::numVcs; ++vc)
+            d.getI32();
+        d.get64();
+        d.getI32();
+        d.getI32();
+        d.get64();
+        d.get64();
+    }
+    for (int c = 0; c < net::numClasses; ++c)
+        skipQueue();
+    for (int c = 0; c < net::numClasses; ++c)
+        d.get64();
+    d.getI32();
+    d.get64();
+    d.getI32();
+    d.getI32();
+    for (int i = 0; i < 3; ++i)
+        d.get64();
+    const std::uint32_t side = d.get32();
+    for (std::uint32_t i = 0; i < side && d.ok(); ++i)
+        d.get32();
 }
 
 /** Knobs of checkContract beyond the engine configuration. */
@@ -432,6 +597,206 @@ TEST(CheckpointMachine, RestoreRejectsOutOfRangeEventOwner)
     EXPECT_FALSE(bound(ckpt::CoreMemDone, 4));
     EXPECT_FALSE(bound(ckpt::WatchdogPoll, 0)) << "no watchdog armed";
     EXPECT_FALSE(bound(ckpt::ClientEvent, 0)) << "no client registered";
+}
+
+TEST(CheckpointMachine, RestoreRejectsBadMailboxEntry)
+{
+    // A parallel snapshot holds the cross-domain effects posted in
+    // the last epoch. mergeFor schedules them without passing the
+    // restore dispatcher, so restore must check each entry itself.
+    Rig probe = makeRig(16, 4, 7, 60);
+    ASSERT_TRUE(probe.m->isParallel());
+    ASSERT_TRUE(probe.m->run(probe.sources));
+    const Tick endTick = probe.m->ctx().now();
+
+    Rig a = makeRig(16, 4, 7, 60);
+    ASSERT_FALSE(a.m->run(a.sources, endTick / 2)) << "not mid-run";
+    const std::string snap = tmpPrefix("ckpt_bad_mailbox.gsckpt");
+    std::string err;
+    ASSERT_TRUE(a.m->save(snap, &err)) << err;
+    const SnapshotBytes good(snap);
+
+    // Walk NETW to the first mailbox entry.
+    const net::Network &net = a.m->network();
+    ckpt::Deserializer d = good.open(ckpt::secNet);
+    const int domains = d.getI32();
+    d.get32(); // routers
+    for (int dom = 0; dom < domains; ++dom)
+        skipShard(good, d);
+    std::size_t entryAt = 0;
+    for (int mb = 0; mb < 2 * domains * domains && entryAt == 0; ++mb) {
+        const std::uint32_t n = d.get32();
+        if (n > 0)
+            entryAt = good.at(ckpt::secNet, d);
+        for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
+            d.get64();
+            for (int f = 0; f < 5; ++f)
+                d.getI32();
+            net::Packet pkt;
+            net::restorePacket(d, pkt);
+        }
+        d.get64(); // minDue
+    }
+    ASSERT_TRUE(d.ok()) << d.error();
+    ASSERT_NE(entryAt, 0u) << "snapshot holds no mailbox entry";
+
+    // Entry layout: due (8), node, port, vc, flits, credit (4 each).
+    const std::size_t nodeAt = entryAt + 8, portAt = nodeAt + 4,
+                      vcAt = portAt + 4, flitsAt = vcAt + 4,
+                      creditAt = flitsAt + 4;
+    const auto node = static_cast<NodeId>(good.le(nodeAt, 4));
+    NodeId foreign = 0;
+    while (net.domainOf(foreign) == net.domainOf(node))
+        ++foreign;
+
+    struct Patch
+    {
+        const char *what;
+        std::vector<std::pair<std::size_t, std::uint32_t>> fields;
+    };
+    const std::vector<Patch> patches = {
+        {"node out of range",
+         {{nodeAt, std::uint32_t(net.topology().numNodes())}}},
+        {"negative node", {{nodeAt, 0xffffffffu}}},
+        {"node outside the destination domain",
+         {{nodeAt, std::uint32_t(foreign)}}},
+        {"port out of range",
+         {{portAt, std::uint32_t(net.topology().numPorts(node))}}},
+        {"vc out of range", {{vcAt, std::uint32_t(net::numVcs)}}},
+        {"credit flag not 0 or 1", {{creditAt, 2u}}},
+        {"empty credit", {{creditAt, 1u}, {flitsAt, 0u}}},
+    };
+
+    {
+        // Resealed but unpatched: the walk above found a real entry.
+        SnapshotBytes same = good;
+        same.reseal(ckpt::secNet);
+        same.write(snap);
+        Rig b = makeRig(16, 4, 7, 60);
+        ASSERT_TRUE(b.m->restore(snap, b.sources, &err)) << err;
+    }
+    for (const Patch &p : patches) {
+        SCOPED_TRACE(p.what);
+        SnapshotBytes bad = good;
+        for (const auto &[at, v] : p.fields)
+            bad.put(at, v, 4);
+        bad.reseal(ckpt::secNet);
+        bad.write(snap);
+        Rig b = makeRig(16, 4, 7, 60);
+        EXPECT_FALSE(b.m->restore(snap, b.sources, &err));
+        EXPECT_NE(err.find("mailbox entry"), std::string::npos) << err;
+    }
+    std::remove(snap.c_str());
+}
+
+TEST(CheckpointMachine, RestoreRejectsDanglingPacketHandle)
+{
+    // Pending fabric events, router queues and the pool's freelist
+    // all name packets by pool handle. A handle past the pool, or
+    // one naming a free slot, must fail the restore instead of
+    // indexing the pool when it is next used.
+    Rig probe = makeRig(8, 1, 3, 80);
+    ASSERT_TRUE(probe.m->run(probe.sources));
+    const Tick endTick = probe.m->ctx().now();
+
+    Rig a = makeRig(8, 1, 3, 80);
+    ASSERT_FALSE(a.m->run(a.sources, endTick / 2)) << "not mid-run";
+    const std::string snap = tmpPrefix("ckpt_bad_handle.gsckpt");
+    std::string err;
+    ASSERT_TRUE(a.m->save(snap, &err)) << err;
+    const SnapshotBytes good(snap);
+
+    // EVTQ: the handle (u) of the first pending packet event.
+    std::size_t eventU = 0;
+    {
+        ckpt::Deserializer d = good.open(ckpt::secEvtq);
+        ASSERT_EQ(d.getI32(), 1);
+        for (int i = 0; i < 7; ++i)
+            d.get64();
+        const std::uint32_t n = d.get32();
+        for (std::uint32_t i = 0; i < n && eventU == 0 && d.ok(); ++i) {
+            d.get64(); // when
+            d.get64(); // seq
+            const std::size_t descAt = good.at(ckpt::secEvtq, d);
+            const ckpt::EventDesc e = d.getDesc();
+            if (e.kind == ckpt::NetInjStart ||
+                e.kind == ckpt::NetDeliverLocal ||
+                e.kind == ckpt::NetReceive)
+                eventU = descAt + 16; // kind, owner, a, b, c
+        }
+        ASSERT_TRUE(d.ok()) << d.error();
+    }
+    ASSERT_NE(eventU, 0u) << "no pending packet event";
+    const auto liveHandle =
+        static_cast<std::uint32_t>(good.le(eventU, 4));
+
+    // NETW: the pool's size and freelist, and every router's
+    // queued handles.
+    std::vector<std::size_t> freeAt, queuedAt;
+    std::uint32_t slots = 0;
+    {
+        ckpt::Deserializer d = good.open(ckpt::secNet);
+        ASSERT_EQ(d.getI32(), 1);
+        const std::uint32_t routers = d.get32();
+        slots = skipShard(good, d, &freeAt);
+        d.getBool(); // degraded
+        for (std::uint32_t r = 0; r < routers; ++r)
+            d.get8(); // dead flags
+        for (std::uint32_t r = 0; r < routers && d.ok(); ++r)
+            skipRouter(good, d, queuedAt);
+        d.getI32(); // adaptive-lookahead factor
+        d.get64();
+        ASSERT_TRUE(d.ok()) << d.error();
+        EXPECT_EQ(d.sectionRemaining(), 0u) << "NETW walk misparsed";
+    }
+    ASSERT_FALSE(freeAt.empty()) << "pool has no free slot";
+    const auto freeHandle =
+        static_cast<std::uint32_t>(good.le(freeAt[0], 4));
+
+    struct Patch
+    {
+        const char *what;
+        std::uint32_t tag;
+        std::size_t at;
+        std::uint64_t value;
+        int len;
+    };
+    std::vector<Patch> patches = {
+        {"event handle past the pool", ckpt::secEvtq, eventU, slots, 8},
+        {"event handle above 32 bits", ckpt::secEvtq, eventU,
+         (std::uint64_t{1} << 32) | liveHandle, 8},
+        {"event handle naming a free slot", ckpt::secEvtq, eventU,
+         freeHandle, 8},
+        {"freelist handle past the pool", ckpt::secNet, freeAt[0], slots,
+         4},
+        {"freelist handle naming a live slot", ckpt::secNet, freeAt[0],
+         liveHandle, 4},
+    };
+    ASSERT_FALSE(queuedAt.empty()) << "no router holds a packet";
+    patches.push_back({"queued handle past the pool", ckpt::secNet,
+                       queuedAt[0], slots, 4});
+    patches.push_back({"queued handle naming a free slot", ckpt::secNet,
+                       queuedAt[0], freeHandle, 4});
+
+    {
+        SnapshotBytes same = good;
+        same.reseal(ckpt::secEvtq);
+        same.reseal(ckpt::secNet);
+        same.write(snap);
+        Rig b = makeRig(8, 1, 3, 80);
+        ASSERT_TRUE(b.m->restore(snap, b.sources, &err)) << err;
+    }
+    for (const Patch &p : patches) {
+        SCOPED_TRACE(p.what);
+        SnapshotBytes bad = good;
+        bad.put(p.at, p.value, p.len);
+        bad.reseal(p.tag);
+        bad.write(snap);
+        Rig b = makeRig(8, 1, 3, 80);
+        EXPECT_FALSE(b.m->restore(snap, b.sources, &err));
+        EXPECT_NE(err.find("handle"), std::string::npos) << err;
+    }
+    std::remove(snap.c_str());
 }
 
 TEST(CheckpointMachine, EveryEventKindHasOneRestoreOwner)
