@@ -91,47 +91,63 @@ CoherentNode::memUtilization(Tick window_start, Tick now) const
 bool
 CoherentNode::quiesced() const
 {
-    if (!maf.empty() || !vb.empty() || !pendingCore.empty())
-        return false;
-    for (const auto &[line, entry] : dir) {
-        if (entry.state == DirState::Busy)
-            return false;
+    // A dirTxns record outlives a transaction only while its line is
+    // Busy or has queued requests (finishTxn reclaims it otherwise),
+    // so an empty side table plus no Busy line is the whole-directory
+    // condition.
+    const bool idle = maf.empty() && vb.empty() && pendingCore.empty() &&
+                      busyLines == 0 && dirTxns.empty();
+#ifndef NDEBUG
+    if (idle) {
+        std::size_t busy = 0;
+        dir.forEach([&](mem::Addr, const DirEntry &e) {
+            busy += e.state == DirState::Busy;
+        });
+        gs_assert(busy == busyLines, "busy-line counter ", busyLines,
+                  " disagrees with the directory (", busy, ")");
     }
-    for (const auto &[line, txn] : dirTxns) {
-        if (!txn.pending.empty())
-            return false;
-    }
-    return true;
+#endif
+    return idle;
+}
+
+void
+CoherentNode::setDirState(DirEntry &e, DirState s)
+{
+    busyLines += (s == DirState::Busy);
+    busyLines -= (e.state == DirState::Busy);
+    e.state = s;
 }
 
 DirState
 CoherentNode::dirState(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? DirState::Invalid : it->second.state;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->state : DirState::Invalid;
 }
 
 std::uint64_t
 CoherentNode::dirSharers(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? 0 : it->second.sharers;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->sharers : 0;
 }
 
 NodeId
 CoherentNode::dirOwner(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? invalidNode : it->second.owner;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->owner : invalidNode;
 }
 
 std::vector<mem::Addr>
 CoherentNode::dirLines() const
 {
     std::vector<mem::Addr> lines;
-    for (const auto &[line, entry] : dir)
-        if (entry.state != DirState::Invalid)
+    dir.forEach([&](mem::Addr line, const DirEntry &e) {
+        if (e.state != DirState::Invalid)
             lines.push_back(line);
+    });
+    std::sort(lines.begin(), lines.end());
     return lines;
 }
 
@@ -152,6 +168,14 @@ mapBytes(const M &m)
                (sizeof(typename M::value_type) + 2 * sizeof(void *));
 }
 
+/** mapBytes() of a node-based map holding @p n values of @p bytes
+ *  each at load factor 1 (one bucket per element). */
+constexpr std::size_t
+nodeMapBytes(std::size_t n, std::size_t bytes)
+{
+    return n * (bytes + 3 * sizeof(void *));
+}
+
 } // namespace
 
 std::size_t
@@ -162,10 +186,10 @@ CoherentNode::footprintBytes() const
         b += cache->footprintBytes();
     for (const auto &z : zboxes)
         b += z->footprintBytes();
-    b += mapBytes(maf) + mapBytes(vb) + mapBytes(dir) +
-         mapBytes(dirTxns);
-    for (const auto &[line, txn] : dirTxns)
+    b += mapBytes(maf) + vb.bytes() + dir.bytes() + dirTxns.bytes();
+    dirTxns.forEach([&](mem::Addr, const DirTxn &txn) {
         b += txn.pending.size() * sizeof(Msg);
+    });
     b += pendingCore.size() *
          sizeof(std::tuple<mem::Addr, bool, ckpt::Cont>);
     return b;
@@ -179,16 +203,17 @@ CoherentNode::denseFootprintBytes() const
         b += cache->denseFootprintBytes();
     for (const auto &z : zboxes)
         b += z->denseFootprintBytes();
-    b += mapBytes(maf) + mapBytes(vb);
-    // The pre-split directory entry carried the transaction
-    // bookkeeping inline: hot fields padded to 32 bytes plus a
-    // std::deque<Msg> whose libstdc++ constructor eagerly allocates
-    // its pointer map (64 B) and one 512 B element chunk.
+    // The dense layout kept the victim buffer and the directory in
+    // node-based hash maps, and its directory entry carried the
+    // transaction bookkeeping inline: hot fields padded to 32 bytes
+    // plus a std::deque<Msg> whose libstdc++ constructor eagerly
+    // allocates its pointer map (64 B) and one 512 B element chunk.
     constexpr std::size_t fatDirEntryBytes =
         32 + sizeof(std::deque<Msg>) + 64 + 512;
-    b += dir.bucket_count() * sizeof(void *) +
-         dir.size() *
-             (sizeof(mem::Addr) + fatDirEntryBytes + 2 * sizeof(void *));
+    b += mapBytes(maf) +
+         nodeMapBytes(vb.size(),
+                      sizeof(std::pair<const mem::Addr, VictimEntry>)) +
+         nodeMapBytes(dir.size(), sizeof(mem::Addr) + fatDirEntryBytes);
     b += pendingCore.size() *
          sizeof(std::tuple<mem::Addr, bool, ckpt::Cont>);
     return b;
@@ -561,7 +586,8 @@ CoherentNode::evictIfNeeded(const mem::Victim &victim)
         return; // silent eviction; the directory may keep a stale bit
 
     st.victimsSent += 1;
-    vb.emplace(victim.line, VictimEntry{victim.dirty()});
+    if (!vb.contains(victim.line))
+        vb[victim.line].dirty = victim.dirty();
     st.vbHighWater = std::max(st.vbHighWater,
                               static_cast<std::uint64_t>(vb.size()));
     NodeId home = map.home(victim.line).node;
@@ -596,7 +622,7 @@ CoherentNode::handleForward(const net::Packet &pkt)
         // deadlock the home against our queued request. Without a
         // VB entry the forward targets the fill still in flight to
         // us, so it waits for that fill.
-        if (!vb.count(line)) {
+        if (!vb.contains(line)) {
             it->second.deferredFwds.push_back(pkt);
             return;
         }
@@ -634,13 +660,13 @@ CoherentNode::handleForward(const net::Packet &pkt)
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckClean, home,
                       line, m.requester, /*retains=*/1);
-        } else if (auto vit = vb.find(line); vit != vb.end()) {
+        } else if (const VictimEntry *ve = vb.find(line)) {
             // Serve from the victim buffer; the entry stays until
             // VictimAck but we no longer cache the line.
             sendAfter(cfg.fwdServiceNs, MsgType::BlkDirty, m.requester,
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs,
-                      vit->second.dirty ? MsgType::WBShared
+                      ve->dirty ? MsgType::WBShared
                                         : MsgType::FwdAckClean,
                       home, line, m.requester, /*retains=*/0);
         } else {
@@ -660,7 +686,7 @@ CoherentNode::handleForward(const net::Packet &pkt)
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckTransfer, home,
                       line, m.requester);
-        } else if (vb.count(line)) {
+        } else if (vb.contains(line)) {
             sendAfter(cfg.fwdServiceNs, MsgType::BlkDirty, m.requester,
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckTransfer, home,
@@ -679,9 +705,8 @@ CoherentNode::handleForward(const net::Packet &pkt)
 void
 CoherentNode::handleVictimAck(const Msg &m)
 {
-    auto it = vb.find(m.line);
-    gs_assert(it != vb.end(), "VictimAck without victim buffer");
-    vb.erase(it);
+    const bool held = vb.erase(m.line);
+    gs_assert(held, "VictimAck without victim buffer");
 }
 
 void
@@ -748,7 +773,7 @@ CoherentNode::homeProcess(const Msg &m)
                     : ckpt::makeDesc(ckpt::CohHomeReadShared, self, req,
                                      m.type == MsgType::RdModReq ? 1 : 0,
                                      0, line);
-            entry.state = DirState::Busy;
+            setDirState(entry, DirState::Busy);
             zboxReadSpan(line, req, ckpt::Cont(d, [this, d] { fire(d); }));
         } else { // Exclusive at a third party: forward.
             gs_assert(entry.owner != req, "owner re-request reached "
@@ -757,7 +782,7 @@ CoherentNode::homeProcess(const Msg &m)
             txn.requester = req;
             txn.type = m.type;
             NodeId owner = entry.owner;
-            entry.state = DirState::Busy;
+            setDirState(entry, DirState::Busy);
             sendAfter(cfg.homeOverheadNs,
                       m.type == MsgType::RdReq ? MsgType::FwdRd
                                                : MsgType::FwdRdMod,
@@ -768,7 +793,7 @@ CoherentNode::homeProcess(const Msg &m)
       case MsgType::VictimWB:
       case MsgType::VictimClean:
         if (entry.state == DirState::Exclusive && entry.owner == req) {
-            entry.state = DirState::Busy;
+            setDirState(entry, DirState::Busy);
             bool dirty = m.type == MsgType::VictimWB;
             if (dirty)
                 zboxFor(line).write(line);
@@ -827,19 +852,18 @@ CoherentNode::sendInvals(std::uint64_t sharers, mem::Addr line,
 void
 CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 {
-    auto it = dir.find(m.line);
-    gs_assert(it != dir.end() && it->second.state == DirState::Busy,
+    const DirEntry *e = dir.find(m.line);
+    gs_assert(e && e->state == DirState::Busy,
               "owner reply without busy transaction");
-    auto tit = dirTxns.find(m.line);
-    gs_assert(tit != dirTxns.end(),
-              "owner reply without transaction record");
+    const DirTxn *txn = dirTxns.find(m.line);
+    gs_assert(txn, "owner reply without transaction record");
     const mem::Addr line = m.line;
-    const NodeId req = tit->second.requester;
+    const NodeId req = txn->requester;
 
     switch (m.type) {
       case MsgType::WBShared:
       case MsgType::FwdAckClean: {
-        gs_assert(tit->second.type == MsgType::RdReq,
+        gs_assert(txn->type == MsgType::RdReq,
                   "downgrade reply for a non-read transaction");
         if (m.type == MsgType::WBShared)
             zboxFor(line).write(line);
@@ -853,7 +877,7 @@ CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
         break;
       }
       case MsgType::FwdAckTransfer:
-        gs_assert(tit->second.type == MsgType::RdModReq,
+        gs_assert(txn->type == MsgType::RdModReq,
                   "transfer reply for a non-write transaction");
         post(cfg.homeOverheadNs,
              ckpt::makeDesc(ckpt::CohHomeApplyTransfer, self, req, 0, 0,
@@ -867,42 +891,45 @@ CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 void
 CoherentNode::finishTxn(mem::Addr line)
 {
-    gs_assert(dir[line].state != DirState::Busy,
+    const DirEntry *e = dir.find(line);
+    gs_assert(e && e->state != DirState::Busy,
               "finishTxn before the final state was applied");
+
+    // Invalid entries leave the hot table entirely — the directory's
+    // footprint tracks the lines a home *currently* tracks, not every
+    // line it ever saw. Most transactions have no side-table record:
+    // nothing queued, nothing more to do.
+    DirTxn *txn = dirTxns.find(line);
+    if (!txn) {
+        if (e->state == DirState::Invalid)
+            dir.erase(line);
+        return;
+    }
 
     // Re-dispatch each queued message at most once: a message may
     // defer itself again (owner re-request waiting for its victim),
     // in which case it lands back in the entry's pending queue and
     // must not spin here.
-    std::deque<Msg> work;
-    if (auto tit = dirTxns.find(line); tit != dirTxns.end())
-        work = std::move(tit->second.pending);
+    std::deque<Msg> work = std::move(txn->pending);
     while (!work.empty()) {
         Msg m = work.front();
         work.pop_front();
         homeDispatch(m);
-        if (dir[line].state == DirState::Busy)
+        if (dir.find(line)->state == DirState::Busy)
             break;
     }
     // Anything not processed keeps its order ahead of new deferrals.
-    if (!work.empty()) {
-        auto &pending = dirTxns[line].pending;
-        for (auto it = work.rbegin(); it != work.rend(); ++it)
-            pending.push_front(*it);
-    }
+    auto &pending = dirTxns[line].pending;
+    pending.insert(pending.begin(), work.begin(), work.end());
 
     // Reclaim the side-table record once the line has no in-flight
-    // transaction and nothing queued, and drop Invalid entries from
-    // the hot table entirely — the directory's footprint tracks the
-    // lines a home *currently* tracks, not every line it ever saw.
-    if (auto tit = dirTxns.find(line);
-        tit != dirTxns.end() && tit->second.pending.empty() &&
-        dir[line].state != DirState::Busy)
-        dirTxns.erase(tit);
-    if (auto dit = dir.find(line);
-        dit != dir.end() && dit->second.state == DirState::Invalid &&
-        dirTxns.find(line) == dirTxns.end())
-        dir.erase(dit);
+    // transaction and nothing queued.
+    const DirState state = dir.find(line)->state;
+    if (pending.empty() && state != DirState::Busy) {
+        dirTxns.erase(line);
+        if (state == DirState::Invalid)
+            dir.erase(line);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -921,6 +948,18 @@ sortedKeys(const M &m)
     keys.reserve(m.size());
     for (const auto &kv : m)
         keys.push_back(kv.first);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
+/** Deterministic iteration order over a LineTable's lines. */
+template <typename V>
+std::vector<mem::Addr>
+sortedKeys(const LineTable<V> &t)
+{
+    std::vector<mem::Addr> keys;
+    keys.reserve(t.size());
+    t.forEach([&](mem::Addr line, const V &) { keys.push_back(line); });
     std::sort(keys.begin(), keys.end());
     return keys;
 }
@@ -1000,31 +1039,27 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
     s.put32(static_cast<std::uint32_t>(vb.size()));
     for (mem::Addr line : sortedKeys(vb)) {
         s.put64(line);
-        s.putBool(vb.at(line).dirty);
+        s.putBool(vb.find(line)->dirty);
     }
 
     s.put32(static_cast<std::uint32_t>(dir.size()));
     for (mem::Addr line : sortedKeys(dir)) {
-        const DirEntry &e = dir.at(line);
+        const DirEntry &e = *dir.find(line);
         s.put64(line);
         s.put8(static_cast<std::uint8_t>(e.state));
         s.put64(e.sharers);
         s.putI32(e.owner);
         // Transaction bookkeeping lives in the side table; entries
         // without a record serialise the idle placeholder values.
-        auto tit = dirTxns.find(line);
-        const NodeId txnReq =
-            tit == dirTxns.end() ? invalidNode : tit->second.requester;
-        const MsgType txnType =
-            tit == dirTxns.end() ? MsgType::RdReq : tit->second.type;
-        s.putI32(txnReq);
-        s.put8(static_cast<std::uint8_t>(txnType));
-        if (tit == dirTxns.end()) {
+        const DirTxn *txn = dirTxns.find(line);
+        s.putI32(txn ? txn->requester : invalidNode);
+        s.put8(static_cast<std::uint8_t>(txn ? txn->type
+                                             : MsgType::RdReq));
+        if (!txn) {
             s.put32(0);
         } else {
-            s.put32(static_cast<std::uint32_t>(
-                tit->second.pending.size()));
-            for (const Msg &m : tit->second.pending)
+            s.put32(static_cast<std::uint32_t>(txn->pending.size()));
+            for (const Msg &m : txn->pending)
                 saveMsg(s, m);
         }
     }
@@ -1124,30 +1159,32 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     std::uint32_t nVb = d.get32();
     for (std::uint32_t i = 0; i < nVb && d.ok(); ++i) {
         mem::Addr line = d.get64();
-        vb.emplace(line, VictimEntry{d.getBool()});
+        vb[line].dirty = d.getBool();
     }
 
     dir.clear();
     dirTxns.clear();
+    busyLines = 0;
     std::uint32_t nDir = d.get32();
     for (std::uint32_t i = 0; i < nDir && d.ok(); ++i) {
         mem::Addr line = d.get64();
-        DirEntry e;
-        e.state = static_cast<DirState>(d.get8());
-        e.sharers = d.get64();
-        e.owner = d.getI32();
+        const auto state = static_cast<DirState>(d.get8());
+        const std::uint64_t sharers = d.get64();
+        const NodeId owner = d.getI32();
         const NodeId txnReq = d.getI32();
         const auto txnType = static_cast<MsgType>(d.get8());
         std::uint32_t np = d.get32();
         if (txnReq != invalidNode || np > 0) {
-            DirTxn txn;
+            DirTxn &txn = dirTxns[line];
             txn.requester = txnReq;
             txn.type = txnType;
             for (std::uint32_t p = 0; p < np && d.ok(); ++p)
                 txn.pending.push_back(restoreMsg(d));
-            dirTxns.emplace(line, std::move(txn));
         }
-        dir.emplace(line, e);
+        DirEntry &e = dir[line];
+        e.sharers = sharers;
+        e.owner = owner;
+        setDirState(e, state);
     }
 
     pendingCore.clear();
@@ -1214,7 +1251,7 @@ CoherentNode::fire(const ckpt::EventDesc &d)
         break;
       case ckpt::CohHomeApplyExcl: {
         DirEntry &e = dir[line];
-        e.state = DirState::Exclusive;
+        setDirState(e, DirState::Exclusive);
         e.owner = req;
         e.sharers = 0;
         send(MsgType::BlkExclusive, req, line, req, 0);
@@ -1231,13 +1268,13 @@ CoherentNode::fire(const ckpt::EventDesc &d)
         DirEntry &e = dir[line];
         if (d.b == 0) {
             e.sharers |= sharerBit(req);
-            e.state = DirState::Shared;
+            setDirState(e, DirState::Shared);
             send(MsgType::BlkShared, req, line, req, 0);
         } else {
             int count = sendInvals(e.sharers, line, req);
             e.sharers = 0;
             e.owner = req;
-            e.state = DirState::Exclusive;
+            setDirState(e, DirState::Exclusive);
             send(MsgType::BlkExclusive, req, line, req,
                  static_cast<std::uint32_t>(count));
         }
@@ -1246,7 +1283,7 @@ CoherentNode::fire(const ckpt::EventDesc &d)
       }
       case ckpt::CohHomeApplyVictim: {
         DirEntry &e = dir[line];
-        e.state = DirState::Invalid;
+        setDirState(e, DirState::Invalid);
         e.owner = invalidNode;
         e.sharers = 0;
         send(MsgType::VictimAck, req, line, req);
@@ -1255,7 +1292,7 @@ CoherentNode::fire(const ckpt::EventDesc &d)
       }
       case ckpt::CohHomeApplyDowngrade: {
         DirEntry &e = dir[line];
-        e.state = DirState::Shared;
+        setDirState(e, DirState::Shared);
         e.sharers = d.v;
         e.owner = invalidNode;
         finishTxn(line);
@@ -1263,7 +1300,7 @@ CoherentNode::fire(const ckpt::EventDesc &d)
       }
       case ckpt::CohHomeApplyTransfer: {
         DirEntry &e = dir[line];
-        e.state = DirState::Exclusive;
+        setDirState(e, DirState::Exclusive);
         e.owner = req;
         e.sharers = 0;
         finishTxn(line);

@@ -35,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coherence/line_table.hh"
 #include "coherence/messages.hh"
 #include "mem/address.hh"
 #include "mem/cache.hh"
@@ -182,14 +183,20 @@ class CoherentNode
      *  coarse mode); lets the checker test membership correctly. */
     std::uint64_t sharerBitOf(NodeId n) const { return sharerBit(n); }
 
-    /** Lines with a non-Invalid directory entry at this home. */
+    /**
+     * Lines with a non-Invalid directory entry at this home, in
+     * ascending address order (independent of the table layout, so
+     * audits report the same line first on every build).
+     */
     std::vector<mem::Addr> dirLines() const;
 
     /**
      * Bytes of protocol + memory-model state this node holds right
      * now (MAF, victim buffers, directory incl. side tables, cache
-     * tags, Zbox banks). Heap sizes of the hash tables are estimated
-     * from bucket and element counts.
+     * tags, Zbox banks). The flat line tables (directory, dirTxns,
+     * victim buffer) count their whole slot array, free slots
+     * included, plus the queued messages of each dirTxns record; the
+     * node-based MAF map is estimated from bucket and element counts.
      */
     std::size_t footprintBytes() const;
 
@@ -272,7 +279,7 @@ class CoherentNode
         Tick issued = 0;
         trace::SpanState span; ///< x-ray span (reply path; id 0 = off)
         std::vector<ckpt::Cont> waiters;
-        std::deque<net::Packet> deferredFwds;
+        std::vector<net::Packet> deferredFwds;
         std::vector<std::pair<bool, ckpt::Cont>> retries;
     };
 
@@ -356,6 +363,11 @@ class CoherentNode
     void homeProcess(const Msg &m);
     void homeOwnerReply(const Msg &m, NodeId from);
     void finishTxn(mem::Addr line);
+    /**
+     * The one place a directory entry changes state, so busyLines
+     * always counts the Busy entries.
+     */
+    void setDirState(DirEntry &e, DirState s);
     mem::Zbox &zboxFor(mem::Addr line);
 
     SimContext &ctx;
@@ -368,10 +380,17 @@ class CoherentNode
     std::unique_ptr<mem::Cache> cache;
     std::vector<std::unique_ptr<mem::Zbox>> zboxes;
 
+    /**
+     * Still node-based: the MAF is bounded, so its planned flat form
+     * is a fixed-capacity slab indexed by MAF slot (ROADMAP.md item
+     * 2), not a growing LineTable.
+     */
     std::unordered_map<mem::Addr, MafEntry> maf;
-    std::unordered_map<mem::Addr, VictimEntry> vb;
-    std::unordered_map<mem::Addr, DirEntry> dir;
-    std::unordered_map<mem::Addr, DirTxn> dirTxns;
+    LineTable<VictimEntry> vb;
+    LineTable<DirEntry> dir;
+    LineTable<DirTxn> dirTxns;
+    /** Directory entries in state Busy (kept by setDirState). */
+    std::size_t busyLines = 0;
 
     /**
      * X-ray spans parked while this node holds their transaction

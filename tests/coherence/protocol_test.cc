@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 
 #include "coherence/checker.hh"
 #include "coherence/node.hh"
@@ -359,6 +361,84 @@ TEST(Protocol, CoarseWriterGroupmateStillInvalidated)
     EXPECT_EQ(f.nodes[0]->dirOwner(a), 2);
     EXPECT_EQ(f.nodes[2]->l2().state(a), LineState::Modified);
     EXPECT_EQ(f.nodes[3]->l2().state(a), LineState::Invalid);
+    EXPECT_TRUE(verifyCoherence(f.all()).ok);
+}
+
+TEST(Protocol, BusyHomeIsNeverQuiesced)
+{
+    // quiesced() reads a busy-line counter instead of walking the
+    // directory. Two Busy windows must both hold the home
+    // unquiesced: a RdModReq forwarded to a third-party owner (the
+    // longest one; it also has a side-table record) and a cold read
+    // waiting on the Zbox (the counter is the only trace of it).
+    CoherFixture f;
+    const mem::Addr owned = lineAt(2, 16);
+    const mem::Addr cold = lineAt(2, 17);
+    f.access(0, owned, true); // node 0 owns dirty
+    f.drain();
+    ASSERT_TRUE(f.nodes[2]->quiesced());
+
+    auto runWatchingHome = [&](mem::Addr a) {
+        int busySteps = 0;
+        const Tick limit = f.ctx.now() + 100 * tickUs;
+        while (f.ctx.now() < limit && f.ctx.queue().step()) {
+            if (f.nodes[2]->dirState(a) == DirState::Busy) {
+                busySteps += 1;
+                EXPECT_FALSE(f.nodes[2]->quiesced());
+            }
+        }
+        return busySteps;
+    };
+
+    bool done = false;
+    f.nodes[1]->memAccess(owned, true, [&] { done = true; });
+    EXPECT_GT(runWatchingHome(owned), 0) << "the home never went Busy";
+    EXPECT_TRUE(done);
+    EXPECT_EQ(f.nodes[0]->stats().forwardsServed, 1u);
+    for (CoherentNode *n : f.all())
+        EXPECT_TRUE(n->quiesced()) << "node " << n->id();
+    EXPECT_EQ(f.nodes[2]->dirState(owned), DirState::Exclusive);
+    EXPECT_EQ(f.nodes[2]->dirOwner(owned), 1);
+
+    done = false;
+    f.nodes[3]->memAccess(cold, false, [&] { done = true; });
+    EXPECT_GT(runWatchingHome(cold), 0) << "the home never went Busy";
+    EXPECT_TRUE(done);
+    for (CoherentNode *n : f.all())
+        EXPECT_TRUE(n->quiesced()) << "node " << n->id();
+    EXPECT_TRUE(verifyCoherence(f.all()).ok);
+}
+
+TEST(Checker, ReportsTheLowestCorruptLineWhateverTheTableOrder)
+{
+    // dirLines() is sorted, so with two bad lines at one home the
+    // audit names the lower one, independent of where the directory
+    // table happens to store them or which was touched first.
+    CoherFixture f;
+    const std::vector<mem::Addr> lines = {
+        lineAt(1, 4097), lineAt(1, 9), lineAt(1, 1000), lineAt(1, 0),
+        lineAt(1, 77)};
+    for (mem::Addr a : lines)
+        f.access(0, a, true);
+    f.drain();
+    ASSERT_TRUE(verifyCoherence(f.all()).ok);
+
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        for (std::size_t j = i + 1; j < lines.size(); ++j) {
+            // A second owner for both lines: node 3 never asked.
+            for (mem::Addr a : {lines[i], lines[j]})
+                f.nodes[3]->l2().fill(a, LineState::Modified);
+            CheckResult r = verifyCoherence(f.all());
+            EXPECT_FALSE(r.ok);
+            std::ostringstream want;
+            want << "line 0x" << std::hex
+                 << std::min(lines[i], lines[j]) << ":";
+            EXPECT_EQ(r.firstViolation.rfind(want.str(), 0), 0u)
+                << r.firstViolation;
+            for (mem::Addr a : {lines[i], lines[j]})
+                f.nodes[3]->l2().invalidate(a);
+        }
+    }
     EXPECT_TRUE(verifyCoherence(f.all()).ok);
 }
 

@@ -61,10 +61,21 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+// Out of line on purpose: inlined into a caller that took the pointer
+// from operator new, the free() would trip GCC's mismatched-new-delete
+// check, which cannot see that both halves are replaced together.
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
