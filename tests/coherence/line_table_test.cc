@@ -35,12 +35,11 @@ struct Tracked
     ~Tracked() { live -= 1; }
 };
 
-template <typename V>
 std::map<Addr, int>
-contents(const LineTable<V> &t)
+contents(const LineTable<Tracked> &t)
 {
     std::map<Addr, int> seen;
-    t.forEach([&](Addr line, const V &val) {
+    t.forEach([&](Addr line, const Tracked &val) {
         EXPECT_EQ(seen.count(line), 0u) << "line visited twice";
         seen[line] = val.v;
     });

@@ -43,7 +43,11 @@ thread_local std::uint64_t g_allocs = 0;
 
 } // namespace
 
-void *
+// Every replacement is kept out of line: inlined into one caller, the
+// malloc() or free() inside meets the other half's operator call and
+// GCC's -Wmismatched-new-delete, which cannot see that both halves
+// are replaced together, flags the pair.
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocs += 1;
@@ -52,7 +56,7 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     g_allocs += 1;
@@ -61,9 +65,6 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-// Out of line on purpose: inlined into a caller that took the pointer
-// from operator new, the free() would trip GCC's mismatched-new-delete
-// check, which cannot see that both halves are replaced together.
 [[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
 [[gnu::noinline]] void
