@@ -49,6 +49,18 @@ withSweepArgs(std::map<std::string, std::string> known = {})
                           "threads; 1 = serial)");
     known.emplace("seed", "master seed for per-point RNG streams "
                           "(default 1)");
+    return known;
+}
+
+/**
+ * Register --threads and --tile-shape. Only a bench that hands them
+ * to its machines (machineThreads, applyTileShape) registers them;
+ * every other bench rejects them as unknown options instead of
+ * silently running the serial engine.
+ */
+inline std::map<std::string, std::string>
+withMachineThreadArgs(std::map<std::string, std::string> known = {})
+{
     known.emplace("threads", "worker threads per simulated machine "
                              "(default 1 = serial engine; results "
                              "are bit-identical at any value for a "

@@ -66,6 +66,7 @@ Router::receive(int in_port, int vc, PacketHandle h)
     vcQ[slot(in_port, vc)].push(h);
     occupied[static_cast<std::size_t>(in_port)] |= vcBit(vc);
     buffered += 1;
+    frozen = false;
     net.activate(id);
 }
 
@@ -79,6 +80,7 @@ Router::creditReturn(int out_port, int vc, int flits)
     // downstream buffer. Healthy fabrics never hit this.
     if (net.degraded() && credits > vcCapacity(vc))
         credits = vcCapacity(vc);
+    frozen = false;
     net.activate(id);
 }
 
@@ -97,6 +99,9 @@ Router::syncPorts()
 {
     gs_assert(kind_ == RouterKind::Buffered,
               "fault injection requires the buffered router backend");
+    // Every fault apply ends here, on every router: routes may have
+    // changed even where this router's own links did not.
+    frozen = false;
     const auto &topo = net.topology();
     const auto &prm = net.params();
     for (int p = 0; p < nPorts; ++p) {
@@ -124,6 +129,7 @@ Router::syncPorts()
 void
 Router::flushAll()
 {
+    frozen = false;
     for (int p = 0; p < nPorts; ++p) {
         for (int vc = 0; vc < numVcs; ++vc) {
             auto &q = vcQ[slot(p, vc)];
@@ -234,6 +240,7 @@ Router::inject(PacketHandle h)
     const Packet &pkt = net.poolOf(id).get(h);
     injQs[static_cast<std::size_t>(pkt.cls)].push(h);
     injWaiting += 1;
+    frozen = false;
     net.activate(id);
 }
 
@@ -327,6 +334,10 @@ void
 Router::nominate(Tick now)
 {
     noms.clear();
+    stalledSlots.clear();
+    stalledInj = 0;
+    wakeAt = maxTick;
+    bool dropped = false;
     PacketPool &pool = net.poolOf(id);
 
     // Network input ports: one nominee each, round-robin over VCs.
@@ -360,15 +371,21 @@ Router::nominate(Tick now)
                 }
                 if (!unroutable) {
                     vcs_[slot(p, vc)].creditStalls += 1;
+                    stalledSlots.push_back(
+                        static_cast<std::uint32_t>(slot(p, vc)));
                     break;
                 }
                 PacketHandle h = popHead(p, vc);
                 net.dropPacket(id, h, "unroutable");
+                dropped = true;
             }
             if (!nominated)
                 continue;
-            if (ports_[std::size_t(route.outPort)].busyUntil > now)
+            const Tick busy = ports_[std::size_t(route.outPort)].busyUntil;
+            if (busy > now) {
+                wakeAt = std::min(wakeAt, busy);
                 continue;
+            }
             noms.push_back(Nominee{p, vc, route});
             ports_[std::size_t(p)].rrVc = (vc + 1) % numVcs;
             break;
@@ -389,20 +406,29 @@ Router::nominate(Tick now)
             }
             if (!unroutable) {
                 injStalls[static_cast<std::size_t>(cls)] += 1;
+                stalledInj |= 1u << cls;
                 break;
             }
             net.dropPacket(id, q.front(), "unroutable");
             q.pop();
             injWaiting -= 1;
+            dropped = true;
         }
         if (!nominated)
             continue;
-        if (ports_[std::size_t(route.outPort)].busyUntil > now)
+        const Tick busy = ports_[std::size_t(route.outPort)].busyUntil;
+        if (busy > now) {
+            wakeAt = std::min(wakeAt, busy);
             continue;
+        }
         noms.push_back(Nominee{-1, cls, route});
         injRrClass = (cls + 1) % numClasses;
         break;
     }
+
+    // Nothing nominated and nothing dropped: every input the next
+    // ticks read is unchanged until a thaw event or wakeAt.
+    frozen = noms.empty() && !dropped;
 }
 
 void
@@ -681,6 +707,16 @@ Router::tick(Tick now)
 {
     if (idle())
         return;
+    if (frozen && now < wakeAt) {
+        // The full tick would re-decide the same blocked heads; its
+        // only side effect is this cycle's stall counts.
+        for (std::uint32_t s : stalledSlots)
+            vcs_[s].creditStalls += 1;
+        for (unsigned m = stalledInj; m != 0; m &= m - 1)
+            injStalls[static_cast<std::size_t>(std::countr_zero(m))] += 1;
+        return;
+    }
+    frozen = false;
     ejectPass(now);
     if (buffered == 0 && injWaiting == 0)
         return;
@@ -738,6 +774,7 @@ Router::saveCkpt(ckpt::Serializer &s) const
 void
 Router::restoreCkpt(ckpt::Deserializer &d)
 {
+    frozen = false; // derived state, never saved
     if (d.get32() != vcQ.size() && d.ok()) {
         d.fail("router VC queue count mismatch");
         return;

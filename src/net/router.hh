@@ -70,6 +70,15 @@
  * Hot path: each input port keeps a bitmask of its non-empty VCs,
  * and the eject and nominate passes walk only its set bits, in the
  * order a full scan would have reached them (docs/ROUTER.md).
+ *
+ * Frozen routers (buffered backend): a tick that nominates nothing
+ * and drops nothing leaves every input of the next tick unchanged,
+ * so the router freezes. Until a packet arrives or is injected, a
+ * credit returns, the ports resync after a fault, or the earliest
+ * busy output a routable head waited on frees up (wakeAt), a tick
+ * only repeats the credit and injection stall counts of the tick
+ * that froze it, so those counters stay exact at every instant. The
+ * state is derived and never saved (docs/ROUTER.md).
  */
 
 #ifndef GS_NET_ROUTER_HH
@@ -378,6 +387,14 @@ class Router
 
     /** Bufferless side buffer: retreated packets awaiting a port. */
     std::vector<PacketHandle> sideQ_;
+
+    /** @name Frozen state (buffered): derived, never saved. */
+    /// @{
+    bool frozen = false;
+    Tick wakeAt = maxTick; ///< earliest busyUntil a routable head saw
+    std::vector<std::uint32_t> stalledSlots; ///< creditStalls to replay
+    unsigned stalledInj = 0; ///< injStalls classes to replay (bitmask)
+    /// @}
 
     std::vector<Nominee> noms;     ///< per-tick scratch (buffered)
     std::vector<LatchRank> ranks_; ///< per-tick scratch (bufferless)

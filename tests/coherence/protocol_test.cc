@@ -409,6 +409,59 @@ TEST(Protocol, BusyHomeIsNeverQuiesced)
     EXPECT_TRUE(verifyCoherence(f.all()).ok);
 }
 
+TEST(Protocol, OwnerReRequestBehindItsVictimIsNeverQuiesced)
+{
+    // An owner that evicts a line and re-requests it before its
+    // victim lands has the request parked in the home's dirTxns while
+    // the line stays Exclusive, not Busy. The busy-line counter sees
+    // nothing then; only the side-table clause of quiesced() holds
+    // the home unquiesced.
+    NodeConfig cfg;
+    cfg.l2.sizeBytes = 4 * mem::lineBytes;
+    cfg.l2.ways = 1;
+    CoherFixture f(2, 2, cfg);
+    const mem::Addr a = lineAt(1, 0);
+    const mem::Addr b = lineAt(1, 4); // same set: evicts a
+    f.access(0, a, true);
+    f.drain();
+
+    // Step until the eviction puts a in node 0's victim buffer, then
+    // re-request a at once.
+    bool evicted = false;
+    f.nodes[0]->memAccess(b, true, [&] { evicted = true; });
+    while (f.nodes[0]->victimBufferFill() == 0 && f.ctx.queue().step()) {
+    }
+    ASSERT_EQ(f.nodes[0]->victimBufferFill(), 1);
+    bool done = false;
+    f.nodes[0]->memAccess(a, true, [&] { done = true; });
+
+    const CoherentNode &home = *f.nodes[1];
+    auto recv = [&home](MsgType t) {
+        return home.stats().msgRecv[static_cast<std::size_t>(t)];
+    };
+    const std::uint64_t reqs0 = recv(MsgType::RdModReq);
+    const std::uint64_t victims0 = recv(MsgType::VictimWB);
+    int parkedSteps = 0;
+    const Tick limit = f.ctx.now() + 100 * tickUs;
+    while (f.ctx.now() < limit && f.ctx.queue().step()) {
+        const bool parked = recv(MsgType::RdModReq) > reqs0 &&
+                            recv(MsgType::VictimWB) == victims0 &&
+                            home.dirState(a) == DirState::Exclusive;
+        if (parked) {
+            parkedSteps += 1;
+            EXPECT_FALSE(home.quiesced());
+        }
+    }
+    EXPECT_GT(parkedSteps, 0)
+        << "the re-request never waited behind its victim";
+    EXPECT_TRUE(evicted);
+    EXPECT_TRUE(done);
+    for (CoherentNode *n : f.all())
+        EXPECT_TRUE(n->quiesced()) << "node " << n->id();
+    EXPECT_EQ(home.dirOwner(a), 0);
+    EXPECT_TRUE(verifyCoherence(f.all()).ok);
+}
+
 TEST(Checker, ReportsTheLowestCorruptLineWhateverTheTableOrder)
 {
     // dirLines() is sorted, so with two bad lines at one home the

@@ -89,13 +89,15 @@ makeProgram(std::uint64_t seed, int w, int h, int packets)
     return ops;
 }
 
-/** Drive one fabric type through @p ops; record the delivery trace. */
+/**
+ * Schedule @p ops on one fabric type and record its deliveries into
+ * @p trace; the caller runs the queue.
+ */
 template <typename Net>
-std::vector<Delivery>
-replay(Net &net, SimContext &ctx, const std::vector<Op> &ops,
-       int nodes)
+void
+program(Net &net, SimContext &ctx, const std::vector<Op> &ops,
+        int nodes, std::vector<Delivery> &trace)
 {
-    std::vector<Delivery> trace;
     for (NodeId node = 0; node < nodes; ++node) {
         net.setHandler(node, [&trace, &ctx, node](const Packet &p) {
             trace.push_back(
@@ -112,6 +114,16 @@ replay(Net &net, SimContext &ctx, const std::vector<Op> &ops,
         p.flits = op.flits;
         ctx.queue().scheduleAt(op.at, [&net, p] { net.inject(p); });
     }
+}
+
+/** Drive one fabric type through @p ops; record the delivery trace. */
+template <typename Net>
+std::vector<Delivery>
+replay(Net &net, SimContext &ctx, const std::vector<Op> &ops,
+       int nodes)
+{
+    std::vector<Delivery> trace;
+    program(net, ctx, ops, nodes, trace);
     ctx.queue().runUntil(500 * tickMs);
     return trace;
 }
@@ -206,7 +218,10 @@ INSTANTIATE_TEST_SUITE_P(
  * Telemetry counters the public accessors cannot reach (sent flits,
  * credit stalls, injection stalls) are compared through the registry
  * on side A and the frozen router's counter accessors on side B, on
- * one congested shape.
+ * one congested shape — at several cut points while the hotspot is
+ * still congested, and again after drain. The legacy router counts a
+ * stall on every blocked cycle, so a router that settled its counts
+ * late (say, only once it next acts) would diverge at a cut.
  */
 TEST(RouterAB, TelemetryCountersMatchUnderCongestion)
 {
@@ -233,12 +248,14 @@ TEST(RouterAB, TelemetryCountersMatchUnderCongestion)
     SimContext ctxA(5);
     topo::Torus2D topoA(w, h);
     Network a(ctxA, topoA, NetworkParams::gs1280());
-    replay(a, ctxA, ops, n);
+    std::vector<Delivery> traceA;
+    program(a, ctxA, ops, n, traceA);
 
     SimContext ctxB(5);
     topo::Torus2D topoB(w, h);
     legacy::LegacyNet b(ctxB, topoB, NetworkParams::gs1280());
-    replay(b, ctxB, ops, n);
+    std::vector<Delivery> traceB;
+    program(b, ctxB, ops, n, traceB);
 
     telem::Registry reg;
     for (NodeId node = 0; node < n; ++node) {
@@ -247,42 +264,69 @@ TEST(RouterAB, TelemetryCountersMatchUnderCongestion)
             [](int p) { return std::to_string(p); });
     }
 
-    std::uint64_t stallsA = 0, stallsB = 0;
-    for (NodeId node = 0; node < n; ++node) {
-        legacy::LegacyRouter &rb = b.router(node);
-        const std::string prefix =
-            telem::path("node", node, "router");
-        for (int p = 0; p < topoA.numPorts(node); ++p) {
-            const std::string pp =
-                telem::path(prefix, "port", std::to_string(p));
-            EXPECT_EQ(reg.value(pp + ".flits"),
-                      rb.sentFlits(p));
-            EXPECT_EQ(reg.value(pp + ".packets"),
-                      rb.sentPackets(p));
-            for (int vc = 0; vc < numVcs; ++vc) {
-                const std::string vp = telem::path(pp, "vc", vc);
-                EXPECT_EQ(reg.value(vp + ".flits"),
-                          rb.recvFlits(p, vc));
-                EXPECT_EQ(reg.value(vp + ".stalls"),
-                          rb.creditStalls(p, vc));
-                stallsA += static_cast<std::uint64_t>(
-                    reg.value(vp + ".stalls"));
-                stallsB += rb.creditStalls(p, vc);
+    // Compares every counter; returns side A's total stall count
+    // (credit plus injection).
+    auto compare = [&]() {
+        std::uint64_t stallsA = 0, stallsB = 0;
+        for (NodeId node = 0; node < n; ++node) {
+            legacy::LegacyRouter &rb = b.router(node);
+            const std::string prefix =
+                telem::path("node", node, "router");
+            for (int p = 0; p < topoA.numPorts(node); ++p) {
+                const std::string pp =
+                    telem::path(prefix, "port", std::to_string(p));
+                EXPECT_EQ(reg.value(pp + ".flits"), rb.sentFlits(p));
+                EXPECT_EQ(reg.value(pp + ".packets"),
+                          rb.sentPackets(p));
+                for (int vc = 0; vc < numVcs; ++vc) {
+                    const std::string vp = telem::path(pp, "vc", vc);
+                    EXPECT_EQ(reg.value(vp + ".flits"),
+                              rb.recvFlits(p, vc));
+                    EXPECT_EQ(reg.value(vp + ".stalls"),
+                              rb.creditStalls(p, vc));
+                    stallsA += static_cast<std::uint64_t>(
+                        reg.value(vp + ".stalls"));
+                    stallsB += rb.creditStalls(p, vc);
+                }
+            }
+            for (int c = 0; c < numClasses; ++c) {
+                auto cls = static_cast<MsgClass>(c);
+                const double injA = reg.value(
+                    telem::path(prefix, "inj", msgClassName(cls)) +
+                    ".stalls");
+                EXPECT_EQ(injA, rb.injStallCount(cls));
+                stallsA += static_cast<std::uint64_t>(injA);
+                stallsB += rb.injStallCount(cls);
             }
         }
-        for (int c = 0; c < numClasses; ++c) {
-            auto cls = static_cast<MsgClass>(c);
-            EXPECT_EQ(
-                reg.value(telem::path(prefix, "inj",
-                                             msgClassName(cls)) +
-                                 ".stalls"),
-                rb.injStallCount(cls));
-        }
+        EXPECT_EQ(stallsA, stallsB);
+        return stallsA;
+    };
+
+    // Mid-run cuts, both sides stopped at the same tick. Each cut
+    // must fall inside the congestion: packets still in flight and
+    // stalls still growing, or it would compare nothing new.
+    std::uint64_t prevStalls = 0;
+    for (Tick cut : {500 * tickNs, 1500 * tickNs, 2500 * tickNs,
+                     3500 * tickNs, 4500 * tickNs}) {
+        SCOPED_TRACE("cut at " + std::to_string(cut) + " ticks");
+        ctxA.queue().runUntil(cut);
+        ctxB.queue().runUntil(cut);
+        ASSERT_GT(a.inFlight(), 0);
+        ASSERT_EQ(traceA.size(), traceB.size());
+        const std::uint64_t stalls = compare();
+        EXPECT_GT(stalls, prevStalls);
+        prevStalls = stalls;
     }
+
+    ctxA.queue().runUntil(500 * tickMs);
+    ctxB.queue().runUntil(500 * tickMs);
+    ASSERT_EQ(a.inFlight(), 0);
+    ASSERT_EQ(b.inFlight(), 0);
+    ASSERT_EQ(traceA, traceB);
     // The hotspot must actually have exercised the stall paths, or
     // this test proves nothing.
-    EXPECT_GT(stallsA, 0u);
-    EXPECT_EQ(stallsA, stallsB);
+    EXPECT_GT(compare(), prevStalls);
 }
 
 } // namespace

@@ -1,15 +1,28 @@
 /** @file Profile-driven traffic tests: stream shape + simulated IPC
- *  cross-check against the analytic CPI model. */
+ *  cross-check against the analytic CPI model.
+ *
+ *  ProfileTraffic turns an analytic BenchProfile (the SPEC models of
+ *  Figures 8-11) into an executable address stream: per
+ *  1000-instruction block it emits each working-set component's L1
+ *  misses as line-granular accesses marching through a region of the
+ *  component's footprint, preceded by the block's core compute time
+ *  (cpiBase). Replaying a profile through the full machine
+ *  cross-checks the analytic CPI model. No bench uses it, so it
+ *  lives here with its only callers. */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "cpu/analytic_core.hh"
+#include "cpu/traffic.hh"
+#include "sim/logging.hh"
 #include "system/machine.hh"
 #include "workload/nas_sp.hh"
 #include "workload/nas_ft.hh"
-#include "workload/profile_traffic.hh"
 #include "workload/spec_profiles.hh"
 
 namespace
@@ -17,6 +30,102 @@ namespace
 
 using namespace gs;
 using namespace gs::wl;
+
+/** Executable form of a BenchProfile. */
+class ProfileTraffic : public cpu::TrafficSource
+{
+  public:
+    /**
+     * @param profile the benchmark model to replay
+     * @param base start of this CPU's data region
+     * @param clock_ghz core clock (scales cpiBase into think time)
+     * @param blocks how many 1000-instruction blocks to run
+     */
+    ProfileTraffic(const cpu::BenchProfile &profile, mem::Addr base,
+                   double clock_ghz, std::uint64_t blocks)
+        : clockGHz(clock_ghz),
+          thinkNsPerBlock(1000.0 * profile.cpiBase / clock_ghz),
+          blocksLeft(blocks)
+    {
+        gs_assert(clock_ghz > 0 && blocks > 0);
+        mem::Addr cursor = base;
+        for (const auto &ws : profile.workingSet) {
+            Component c;
+            c.base = cursor;
+            c.lines = std::max<std::uint64_t>(
+                1, static_cast<std::uint64_t>(ws.sizeMB * 1024 * 1024) /
+                       mem::lineBytes);
+            // At least one access per block: densities below 1/1k
+            // round up.
+            c.opsPerBlock =
+                std::max(1, static_cast<int>(std::lround(ws.missPer1k)));
+            comps.push_back(c);
+            cursor += c.lines * mem::lineBytes;
+        }
+        gs_assert(!comps.empty(), "profile has no working set");
+    }
+
+    std::optional<cpu::MemOp>
+    next() override
+    {
+        if (blocksLeft == 0)
+            return std::nullopt;
+        Component &c = comps[compIdx];
+        cpu::MemOp op;
+        op.addr = c.base + (c.cursor % c.lines) * mem::lineBytes;
+        op.write = (c.cursor & 3) == 3; // ~1/4 of misses dirty lines
+        c.cursor += 1;
+        if (!blockStarted) {
+            // The block's core compute rides in front of its first
+            // miss.
+            op.thinkNs = thinkNsPerBlock;
+            blockStarted = true;
+        }
+        if (++opInComp >= c.opsPerBlock) {
+            opInComp = 0;
+            if (++compIdx >= comps.size()) {
+                compIdx = 0;
+                blockStarted = false;
+                blocksDone += 1;
+                blocksLeft -= 1;
+            }
+        }
+        return op;
+    }
+
+    /** Instructions represented by the stream so far. */
+    double
+    instructionsIssued() const
+    {
+        return static_cast<double>(blocksDone) * 1000.0;
+    }
+
+    /** Simulated IPC given the elapsed time of the consuming run. */
+    double
+    ipc(double elapsed_ns) const
+    {
+        return instructionsIssued() / (elapsed_ns * clockGHz);
+    }
+
+  private:
+    struct Component
+    {
+        mem::Addr base = 0;      ///< region start
+        std::uint64_t lines = 0; ///< region size in lines
+        int opsPerBlock = 0;     ///< accesses per 1000 instrs
+        std::uint64_t cursor = 0;
+    };
+
+    double clockGHz;
+    double thinkNsPerBlock;
+    std::uint64_t blocksLeft;
+    std::uint64_t blocksDone = 0;
+
+    std::vector<Component> comps;
+    std::size_t compIdx = 0;
+    int opInComp = 0;
+    bool blockStarted = false;
+};
 
 TEST(ProfileTraffic, EmitsTheConfiguredDensity)
 {
